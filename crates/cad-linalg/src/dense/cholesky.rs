@@ -4,20 +4,28 @@
 //! `L⁺ = (L + (1/n)·J)⁻¹ − (1/n)·J` (J the all-ones matrix), which is much
 //! cheaper than a full eigendecomposition, and as the reference solver in
 //! solver tests.
+//!
+//! Every hot loop is a contiguous row update `y ← y − c·x` that the
+//! compiler vectorizes across the row, with four such terms fused per
+//! pass. Each output entry still subtracts its products one at a time in
+//! ascending `k`, as the textbook scalar dot-product loops do, so the
+//! results are bit-identical to them (DESIGN.md §7).
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::Result;
 
-/// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
+/// Cholesky factor of `A = L Lᵀ`, stored transposed.
 #[derive(Debug, Clone)]
 pub struct CholeskyFactor {
-    /// Lower triangle, stored densely (upper triangle is zero).
-    l: DenseMatrix,
+    /// `U = Lᵀ`, row-major: row `k` holds column `k` of `L` from the
+    /// diagonal on, contiguously. Entries left of the diagonal are zero.
+    u: DenseMatrix,
 }
 
 impl CholeskyFactor {
-    /// Factor a symmetric positive-definite matrix.
+    /// Factor a symmetric positive-definite matrix. Only the lower
+    /// triangle of `a` is read.
     ///
     /// Returns [`LinalgError::FactorizationFailed`] when a pivot is not
     /// strictly positive (matrix not SPD to working precision).
@@ -28,14 +36,32 @@ impl CholeskyFactor {
                 cols: a.ncols(),
             });
         }
-        let n = a.nrows();
-        let mut l = DenseMatrix::zeros(n, n);
+        Self::factor_lower(a.nrows(), |i, j| a.get(i, j))
+    }
+
+    /// Factor the order-`n` SPD matrix whose lower-triangle entry
+    /// `(i, j)`, `i ≥ j`, is `lower(i, j)`, read straight into the factor
+    /// buffer.
+    pub(crate) fn factor_lower(n: usize, lower: impl Fn(usize, usize) -> f64) -> Result<Self> {
+        let mut u = vec![0.0; n * n];
         for j in 0..n {
-            let mut d = a.get(j, j);
-            for k in 0..j {
-                let v = l.get(j, k);
-                d -= v * v;
+            for i in j..n {
+                u[j * n + i] = lower(i, j);
             }
+        }
+        // Row j of U is column j of L: subtract the rows above it, scaled
+        // by their column-j entries, then take the pivot's square root.
+        for j in 0..n {
+            let (done, rest) = u.split_at_mut(j * n);
+            let row = &mut rest[j..n];
+            let width = row.len();
+            sub_rows(
+                row,
+                0..j,
+                |_| width,
+                |k| (done[k * n + j], &done[k * n + j..]),
+            );
+            let d = row[0];
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::FactorizationFailed {
                     what: "cholesky",
@@ -43,21 +69,19 @@ impl CholeskyFactor {
                 });
             }
             let dj = d.sqrt();
-            l.set(j, j, dj);
-            for i in (j + 1)..n {
-                let mut s = a.get(i, j);
-                for k in 0..j {
-                    s -= l.get(i, k) * l.get(j, k);
-                }
-                l.set(i, j, s / dj);
+            row[0] = dj;
+            for x in &mut row[1..] {
+                *x /= dj;
             }
         }
-        Ok(CholeskyFactor { l })
+        Ok(CholeskyFactor {
+            u: DenseMatrix::from_vec(n, n, u)?,
+        })
     }
 
     /// Order of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.nrows()
+        self.u.nrows()
     }
 
     /// Solve `A x = b` using forward/back substitution.
@@ -70,41 +94,106 @@ impl CholeskyFactor {
                 found: (b.len(), 1),
             });
         }
-        // Forward: L y = b.
+        // Forward, L y = b: once y_k is final, subtract its multiple of
+        // column k of L (row k of U) from the entries below it.
         let mut y = b.to_vec();
-        for i in 0..n {
-            let row = self.l.row(i);
+        for k in 0..n {
+            let row = self.u.row(k);
+            y[k] /= row[k];
+            let (yk, below) = (y[k], &mut y[k + 1..]);
+            for (yi, lik) in below.iter_mut().zip(&row[k + 1..]) {
+                *yi -= lik * yk;
+            }
+        }
+        // Back, Lᵀ x = y: a dot product with row i of U.
+        for i in (0..n).rev() {
+            let row = self.u.row(i);
             let mut s = y[i];
-            for (rk, yk) in row.iter().zip(&y).take(i) {
-                s -= rk * yk;
+            for (uik, &yk) in row[i + 1..].iter().zip(&y[i + 1..]) {
+                s -= uik * yk;
             }
             y[i] = s / row[i];
-        }
-        // Back: Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for (k, &yk) in y.iter().enumerate().skip(i + 1) {
-                s -= self.l.get(k, i) * yk;
-            }
-            y[i] = s / self.l.get(i, i);
         }
         Ok(y)
     }
 
-    /// Compute `A⁻¹` column by column.
+    /// Compute `A⁻¹` by solving all `n` right-hand sides of `A X = I` at
+    /// once, as two whole-matrix triangular sweeps over one buffer.
     pub fn inverse(&self) -> Result<DenseMatrix> {
         let n = self.dim();
-        let mut inv = DenseMatrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let x = self.solve(&e)?;
-            for (i, &xi) in x.iter().enumerate() {
-                inv.set(i, j, xi);
-            }
-            e[j] = 0.0;
+        let u = self.u.data();
+        let mut x = vec![0.0; n * n];
+        for i in 0..n {
+            x[i * n + i] = 1.0;
         }
-        Ok(inv)
+        // Forward, L Y = I: row i of Y is row i of I minus L_ik times row
+        // k of Y, over k < i. Y is lower triangular, so a group of rows
+        // ending at k only touches columns 0..=k; the zero terms this
+        // skips would leave every entry unchanged.
+        for i in 0..n {
+            let (done, rest) = x.split_at_mut(i * n);
+            let row = &mut rest[..n];
+            sub_rows(row, 0..i, |k| k + 1, |k| (u[k * n + i], &done[k * n..]));
+            let lii = u[i * n + i];
+            for v in &mut row[..=i] {
+                *v /= lii;
+            }
+        }
+        // Back, Lᵀ X = Y: row i of X is row i of Y minus U_ik times row
+        // k of X, over k > i in ascending order.
+        for i in (0..n).rev() {
+            let (head, tail) = x.split_at_mut((i + 1) * n);
+            let row = &mut head[i * n..];
+            let urow = &u[i * n..(i + 1) * n];
+            sub_rows(
+                row,
+                i + 1..n,
+                |_| n,
+                |k| (urow[k], &tail[(k - i - 1) * n..]),
+            );
+            let lii = urow[i];
+            for v in row.iter_mut() {
+                *v /= lii;
+            }
+        }
+        DenseMatrix::from_vec(n, n, x)
+    }
+}
+
+/// `y ← y − Σ_k c_k·x_k` for `k` in `ks`, where `term(k) = (c_k, x_k)`.
+///
+/// Each entry subtracts its products one at a time in ascending `k`,
+/// exactly as `for k in ks { y[i] -= c_k * x_k[i] }` would; four terms
+/// share a pass so the compiler can vectorize across `i`. A group of
+/// terms ending at `k` updates only the first `width(k)` entries of `y`;
+/// `width` must not decrease and must not exceed `y.len()`, and every
+/// `x_k` must have at least `width` entries.
+#[inline]
+fn sub_rows<'a>(
+    y: &mut [f64],
+    ks: std::ops::Range<usize>,
+    width: impl Fn(usize) -> usize,
+    term: impl Fn(usize) -> (f64, &'a [f64]),
+) {
+    let mut k = ks.start;
+    while k + 4 <= ks.end {
+        let w = width(k + 3);
+        let (c0, x0) = term(k);
+        let (c1, x1) = term(k + 1);
+        let (c2, x2) = term(k + 2);
+        let (c3, x3) = term(k + 3);
+        let (x0, x1, x2, x3) = (&x0[..w], &x1[..w], &x2[..w], &x3[..w]);
+        for ((((yi, a0), a1), a2), a3) in y[..w].iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+            *yi = *yi - c0 * a0 - c1 * a1 - c2 * a2 - c3 * a3;
+        }
+        k += 4;
+    }
+    for k in k..ks.end {
+        let w = width(k);
+        let (c, x) = term(k);
+        for (yi, a) in y[..w].iter_mut().zip(&x[..w]) {
+            *yi -= c * a;
+        }
     }
 }
 
