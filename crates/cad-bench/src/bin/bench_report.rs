@@ -239,33 +239,12 @@ fn main() {
         );
     }
 
-    report.absorb_snapshot(&cad_obs::global().snapshot());
-    for (name, value) in cad_obs::counters::snapshot() {
-        report.counters.insert(name.to_string(), value);
-    }
+    report.absorb_snapshot(&cad_obs::with_current(cad_obs::Registry::snapshot));
     // The worker-thread count is part of the measurement conditions:
     // record it so bench-diff compares like with like.
     report
         .counters
         .insert("bench.threads".to_string(), threads as u64);
-    for (name, h) in cad_obs::histograms::snapshot() {
-        report.histograms.insert(name.to_string(), h);
-    }
-    // Labeled histograms flatten to `name{label=value}` rows — this is
-    // where the per-block solve work units (`part_block_solve_secs`)
-    // land, one row per block label.
-    for (name, label, cells) in cad_obs::histograms::labeled::snapshot() {
-        for (value, h) in cells {
-            if h.count > 0 {
-                report
-                    .histograms
-                    .insert(format!("{name}{{{label}={value}}}"), h);
-            }
-        }
-    }
-    for (name, value) in cad_obs::gauges::snapshot() {
-        report.gauges.insert(name.to_string(), value);
-    }
     report.capture_memory();
     std::fs::write(&out, report.to_json_string()).expect("write report");
     println!(

@@ -293,28 +293,10 @@ fn main() {
     let (p50, p99) = (client_hist.p50(), client_hist.p99());
 
     let mut report = cad_obs::Report::new("bench_serve");
-    report.absorb_snapshot(&cad_obs::global().snapshot());
-    for (name, value) in cad_obs::counters::snapshot() {
-        report.counters.insert(name.to_string(), value);
-    }
-    for (name, h) in cad_obs::histograms::snapshot() {
-        report.histograms.insert(name.to_string(), h);
-    }
-    for (name, label, cells) in cad_obs::histograms::labeled::snapshot() {
-        for (value, h) in cells {
-            if h.count > 0 {
-                report
-                    .histograms
-                    .insert(format!("{name}{{{label}={value}}}"), h);
-            }
-        }
-    }
-    for (name, value) in cad_obs::gauges::snapshot() {
-        report.gauges.insert(name.to_string(), value);
-    }
+    report.absorb_snapshot(&cad_obs::with_current(cad_obs::Registry::snapshot));
     // The server-side queue-wait distribution, summarized so bench-diff
     // can gate on its mean like any other wall-time metric.
-    let queue_wait = cad_obs::histograms::SERVE_QUEUE_WAIT_SECS.snapshot();
+    let queue_wait = report.histograms["serve_queue_wait_secs"].clone();
     report.summaries.insert(
         "serve.queue_wait_secs".to_string(),
         cad_obs::Summary {

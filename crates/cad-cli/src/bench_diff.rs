@@ -15,15 +15,16 @@
 //! * **counts are informational**: event counters are printed in the
 //!   ratio table (a drifting count is a determinism smell worth eyes)
 //!   but never gate, since workload-size changes are legitimate;
-//! * **v3 surfaces are first-class**: gauge names and labeled-counter
+//! * **gauges and labels are first-class**: gauge names and labeled-counter
 //!   cells (family label keys and per-value cells) must match exactly —
 //!   a missing `mem.heap_peak_bytes` gauge or a vanished
 //!   `engine=exact` cell is a schema drift, not a perf delta — while
 //!   labeled-histogram cells (flattened as `name{label=value}` rows)
 //!   gate on their wall-time sums like any other latency metric;
-//! * **v4 `memory` is informational**: allocator totals are printed as
-//!   ratio rows but never gate, since a v3 baseline reads back as all
-//!   zeros and allocation counts legitimately track workload size.
+//! * **`memory` is informational**: allocator totals are printed as
+//!   ratio rows but never gate, since a binary without the counting
+//!   allocator reports all zeros and allocation counts legitimately
+//!   track workload size.
 //!
 //! `--update` skips the comparison and blesses `<new>` as the baseline
 //! by copying it over `<old>`.
@@ -231,8 +232,9 @@ pub fn run_bench_diff(
             gated: false,
         });
     }
-    // Allocator totals (schema v4): informational — a v3 baseline reads
-    // back zeroed, and allocation counts scale with workload size.
+    // Allocator totals: informational — a binary without the counting
+    // allocator reports zeros, and allocation counts scale with workload
+    // size.
     if old.memory != cad_obs::MemoryReport::default()
         || new.memory != cad_obs::MemoryReport::default()
     {
@@ -535,7 +537,7 @@ mod tests {
 
     #[test]
     fn memory_section_is_informational_even_against_a_v3_baseline() {
-        // Old report: no memory section (reads back zeroed, like v3).
+        // Old report: a zeroed memory section (no counting allocator).
         let old = tmp("mm-old.json", &report_with(0.1, 0.05, 100));
         let mut r = cad_obs::Report::new("bench_test");
         r.phases.insert(

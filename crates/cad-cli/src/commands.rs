@@ -325,7 +325,8 @@ pub fn dispatch(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
                 // an access log gets the flight recorder on panic too.
                 let default_hook = std::panic::take_hook();
                 std::panic::set_hook(Box::new(move |info| {
-                    let _ = cad_obs::recorder().dump(&mut std::io::stderr().lock());
+                    let _ =
+                        cad_obs::with_current(|r| r.events().dump(&mut std::io::stderr().lock()));
                     default_hook(info);
                 }));
             }
@@ -395,7 +396,7 @@ pub fn dispatch(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
             // the flight-recorder ring to stderr before unwinding.
             let default_hook = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                let _ = cad_obs::recorder().dump(&mut std::io::stderr().lock());
+                let _ = cad_obs::with_current(|r| r.events().dump(&mut std::io::stderr().lock()));
                 default_hook(info);
             }));
             let server = cad_serve::Server::start(cfg)
@@ -582,7 +583,7 @@ pub fn dispatch(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
 /// keeps (bounded ring; see `CgOptions::residual_trace_cap`).
 const DETECT_RESIDUAL_TRACE_CAP: usize = 32;
 
-/// Render the process-wide span registry + flight recorder as a
+/// Render the registry's span aggregates + flight recorder as a
 /// Chrome-trace/Perfetto trace-event JSON file.
 fn write_profile(path: &str) -> Result<(), CliError> {
     let doc = cad_obs::profile::capture(cad_obs::RING_CAPACITY);
@@ -591,26 +592,25 @@ fn write_profile(path: &str) -> Result<(), CliError> {
 }
 
 /// Assemble the machine-readable run report: detection metrics (merged
-/// deterministically on the coordinator), the global span registry and
-/// the hot-path counters.
+/// deterministically on the coordinator), the registry's span
+/// aggregates, counters, gauges and labeled counters. Its histograms
+/// are rebuilt from per-item records (bit-identical for any thread
+/// count), so the live histograms are left out.
 fn build_report(
     result: &cad_core::DetectionResult,
     metrics: &cad_core::DetectionMetrics,
 ) -> cad_obs::Report {
     let mut report = cad_obs::Report::new("cad detect");
-    report.absorb_snapshot(&cad_obs::global().snapshot());
-    for (name, value) in cad_obs::counters::snapshot() {
-        report.counters.insert(name.to_string(), value);
-    }
-    for (name, value) in cad_obs::gauges::snapshot() {
-        report.gauges.insert(name.to_string(), value);
-    }
-    for (name, label, values) in cad_obs::labeled::snapshot() {
+    let snap = cad_obs::with_current(cad_obs::Registry::snapshot);
+    report.absorb_snapshot(&snap);
+    report.histograms.clear();
+    for fam in snap.labeled_counters {
         report.labels.insert(
-            name.to_string(),
+            fam.name.to_string(),
             cad_obs::LabelFamily {
-                label: label.to_string(),
-                values: values
+                label: fam.label.to_string(),
+                values: fam
+                    .cells
                     .into_iter()
                     .map(|(value, count)| (value.to_string(), count))
                     .collect(),

@@ -46,7 +46,7 @@ pub fn sketch_rhs_panel<const W: usize>(
     first_row: usize,
 ) -> Vec<f64> {
     let lanes = W.min(opts.k.saturating_sub(first_row));
-    cad_obs::counters::JL_PROJECTIONS.add(lanes as u64);
+    cad_obs::count(cad_obs::Counter::JlProjections, lanes as u64);
     let signs = RademacherSource::new(opts.seed);
     let inv_sqrt_k = 1.0 / (opts.k as f64).sqrt();
     let mut y = vec![0.0; g.n_nodes() * W];

@@ -55,9 +55,9 @@ impl CommuteTimeEngine {
     /// Build the oracle for one graph instance.
     pub fn compute(g: &WeightedGraph, opts: &EngineOptions) -> Result<SharedOracle> {
         let _span = cad_obs::span!("oracle_build");
-        cad_obs::counters::ORACLE_BUILDS.inc();
+        cad_obs::count(cad_obs::Counter::OracleBuilds, 1);
         let (oracle, secs) = cad_obs::time_it(|| Self::compute_inner(g, opts));
-        cad_obs::histograms::ORACLE_BUILD_SECS.observe(secs);
+        cad_obs::observe(cad_obs::Hist::OracleBuildSecs, secs);
         oracle
     }
 

@@ -38,19 +38,142 @@ const TAG_SHORTEST: u8 = 3;
 const TAG_CORRECTED: u8 = 4;
 
 // ---------------------------------------------------------------------
-// Writers
+// Byte codec (shared with the `cad-part` partitioned artifacts)
 // ---------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Append `v` little-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+/// Append the raw bit pattern of `v`, little-endian.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Append every value's raw bit pattern, little-endian.
+pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
     out.reserve(8 * values.len());
     for &v in values {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+        put_f64(out, v);
     }
 }
+
+/// Append every value little-endian.
+pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    out.reserve(4 * values.len());
+    for &v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Bounds-checked little-endian reader over an artifact's bytes. Every
+/// error is [`GraphError::InvalidInput`] prefixed with the artifact
+/// name; no read panics or over-allocates on hostile input.
+pub struct ArtifactReader<'a> {
+    buf: &'a [u8],
+    artifact: &'static str,
+}
+
+impl<'a> ArtifactReader<'a> {
+    /// Read `buf`, naming errors after `artifact` (e.g. `"oracle artifact"`).
+    pub fn new(buf: &'a [u8], artifact: &'static str) -> Self {
+        ArtifactReader { buf, artifact }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], GraphError> {
+        if self.buf.len() < n {
+            return Err(invalid(format!(
+                "{} truncated: wanted {n} bytes, {} left",
+                self.artifact,
+                self.buf.len()
+            )));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// One byte.
+    pub fn byte(&mut self) -> std::result::Result<u8, GraphError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A `u32`.
+    pub fn u32(&mut self) -> std::result::Result<u32, GraphError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    }
+
+    /// A `u64`.
+    pub fn u64(&mut self) -> std::result::Result<u64, GraphError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// A stored `u64` count or dimension, rejected above `2^32`: every
+    /// stored element is ≥ 4 bytes, so any plausible value fits, and
+    /// the bound stops hostile counts before multiplication or
+    /// allocation.
+    pub fn usize_checked(&mut self, what: &str) -> std::result::Result<usize, GraphError> {
+        let v = self.u64()?;
+        if v > (1 << 32) {
+            return Err(invalid(format!(
+                "{}: implausible {what} {v}",
+                self.artifact
+            )));
+        }
+        Ok(v as usize)
+    }
+
+    /// An `f64` from its raw bit pattern.
+    pub fn f64_bits(&mut self) -> std::result::Result<f64, GraphError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// `n` consecutive `f64` bit patterns.
+    pub fn f64s(&mut self, n: usize, what: &str) -> std::result::Result<Vec<f64>, GraphError> {
+        let raw = self.take(self.len_bytes(n, 8, what)?)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8"))))
+            .collect())
+    }
+
+    /// `n` consecutive `u32`s.
+    pub fn u32s(&mut self, n: usize, what: &str) -> std::result::Result<Vec<u32>, GraphError> {
+        let raw = self.take(self.len_bytes(n, 4, what)?)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
+            .collect())
+    }
+
+    fn len_bytes(
+        &self,
+        n: usize,
+        width: usize,
+        what: &str,
+    ) -> std::result::Result<usize, GraphError> {
+        n.checked_mul(width)
+            .ok_or_else(|| invalid(format!("{}: {what} length overflows", self.artifact)))
+    }
+
+    /// Require that every byte was consumed.
+    pub fn finish(&self, what: &str) -> std::result::Result<(), GraphError> {
+        if !self.buf.is_empty() {
+            return Err(invalid(format!(
+                "{}: {} trailing bytes after {what}",
+                self.artifact,
+                self.buf.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Writers
+// ---------------------------------------------------------------------
 
 fn header(tag: u8) -> Vec<u8> {
     let mut out = Vec::new();
@@ -63,7 +186,7 @@ fn header(tag: u8) -> Vec<u8> {
 fn encode_exact_into(out: &mut Vec<u8>, e: &ExactCommute) {
     let (pinv, volume) = e.persist_parts();
     put_u64(out, pinv.nrows() as u64);
-    out.extend_from_slice(&volume.to_bits().to_le_bytes());
+    put_f64(out, volume);
     put_f64s(out, pinv.data());
 }
 
@@ -83,7 +206,7 @@ pub(crate) fn embedding_to_bytes(e: &CommuteEmbedding) -> Vec<u8> {
     let mut out = header(TAG_EMBEDDING);
     put_u64(&mut out, n as u64);
     put_u64(&mut out, k as u64);
-    out.extend_from_slice(&volume.to_bits().to_le_bytes());
+    put_f64(&mut out, volume);
     put_f64s(&mut out, coords);
     out
 }
@@ -106,7 +229,7 @@ pub(crate) fn corrected_to_bytes(c: &CorrectedCommute) -> Vec<u8> {
     for (r, c, v) in entries {
         out.extend_from_slice(&(r as u32).to_le_bytes());
         out.extend_from_slice(&(c as u32).to_le_bytes());
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+        put_f64(&mut out, v);
     }
     out
 }
@@ -114,70 +237,6 @@ pub(crate) fn corrected_to_bytes(c: &CorrectedCommute) -> Vec<u8> {
 // ---------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], GraphError> {
-        if self.buf.len() < n {
-            return Err(invalid(format!(
-                "oracle artifact truncated: wanted {n} bytes, {} left",
-                self.buf.len()
-            )));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, GraphError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn usize_checked(&mut self, what: &str) -> std::result::Result<usize, GraphError> {
-        let v = self.u64()?;
-        // Each stored element is ≥ 8 bytes, so any plausible dimension
-        // fits comfortably; this bound stops hostile counts before
-        // multiplication or allocation.
-        if v > (1 << 32) {
-            return Err(invalid(format!("oracle artifact: implausible {what} {v}")));
-        }
-        Ok(v as usize)
-    }
-
-    fn f64_bits(&mut self) -> std::result::Result<f64, GraphError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8"),
-        )))
-    }
-
-    fn f64s(&mut self, n: usize, what: &str) -> std::result::Result<Vec<f64>, GraphError> {
-        let raw = self.take(
-            n.checked_mul(8)
-                .ok_or_else(|| invalid(format!("oracle artifact: {what} length overflows")))?,
-        )?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8"))))
-            .collect())
-    }
-
-    fn u32(&mut self) -> std::result::Result<u32, GraphError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn finish(&self, what: &str) -> std::result::Result<(), GraphError> {
-        if !self.buf.is_empty() {
-            return Err(invalid(format!(
-                "oracle artifact: {} trailing bytes after {what}",
-                self.buf.len()
-            )));
-        }
-        Ok(())
-    }
-}
 
 fn invalid(msg: String) -> GraphError {
     GraphError::InvalidInput(msg)
@@ -188,7 +247,7 @@ fn square(n: usize, what: &str) -> std::result::Result<usize, GraphError> {
         .ok_or_else(|| invalid(format!("oracle artifact: {what} dimension overflows")))
 }
 
-fn decode_exact(cur: &mut Cursor<'_>) -> Result<ExactCommute> {
+fn decode_exact(cur: &mut ArtifactReader<'_>) -> Result<ExactCommute> {
     let n = cur.usize_checked("node count")?;
     let volume = cur.f64_bits()?;
     let data = cur.f64s(square(n, "L⁺")?, "L⁺ entries")?;
@@ -202,7 +261,7 @@ fn decode_exact(cur: &mut Cursor<'_>) -> Result<ExactCommute> {
 /// trailing bytes with [`GraphError::InvalidInput`] — never panics on
 /// hostile input.
 pub fn oracle_from_bytes(bytes: &[u8]) -> Result<SharedOracle> {
-    let mut cur = Cursor { buf: bytes };
+    let mut cur = ArtifactReader::new(bytes, "oracle artifact");
     if cur.take(8)? != ORACLE_MAGIC {
         return Err(invalid("not an oracle artifact (bad magic)".into()));
     }

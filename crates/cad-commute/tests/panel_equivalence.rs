@@ -12,7 +12,7 @@
 //!   `linalg.cg_iterations` and `linalg.jl_projections` equal the
 //!   values that implementation produced.
 //!
-//! The counters are process-wide, so every test here holds [`COUNTERS`].
+//! Each measured build records into a private [`Registry`].
 
 use cad_commute::{
     sketch_rhs_panel, CommuteEmbedding, EdgeDelta, EmbeddingOptions, UpdatableOracle,
@@ -21,13 +21,8 @@ use cad_graph::generators::random::sparse_random_graph;
 use cad_graph::WeightedGraph;
 use cad_linalg::solve::laplacian::PrecondKind;
 use cad_linalg::solve::{CgOptions, LaplacianSolver, LaplacianSolverOptions, SolverKind};
-use std::sync::Mutex;
-
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
-}
+use cad_obs::{Counter, Registry};
+use std::sync::Arc;
 
 fn fnv(h: &mut u64, w: u64) {
     for b in w.to_le_bytes() {
@@ -59,21 +54,21 @@ fn stats_digest(solves: &[cad_obs::SolveStats]) -> u64 {
     h
 }
 
+/// `f`'s result and its
 /// `[linalg.spmv, linalg.cg_solves, linalg.cg_iterations, linalg.jl_projections]`.
-fn counters() -> [u64; 4] {
-    [
-        cad_obs::counters::SPMV.get(),
-        cad_obs::counters::CG_SOLVES.get(),
-        cad_obs::counters::CG_ITERATIONS.get(),
-        cad_obs::counters::JL_PROJECTIONS.get(),
-    ]
-}
-
 fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 4]) {
-    let before = counters();
-    let out = f();
-    let after = counters();
-    (out, std::array::from_fn(|i| after[i] - before[i]))
+    let reg = Arc::new(Registry::new());
+    let out = {
+        let _metrics = reg.enter();
+        f()
+    };
+    let counters = [
+        Counter::Spmv,
+        Counter::CgSolves,
+        Counter::CgIterations,
+        Counter::JlProjections,
+    ];
+    (out, counters.map(|c| reg.counter(c)))
 }
 
 fn base_graph() -> WeightedGraph {
@@ -235,7 +230,6 @@ fn flat(e: &CommuteEmbedding) -> Vec<u64> {
 
 #[test]
 fn compute_matches_per_row_and_recorded_digests() {
-    let _guard = lock();
     for case in cases() {
         let (reference, ref_solves) = per_row(&case.graph, &case.opts, None);
         let reference: Vec<u64> = reference.iter().map(|c| c.to_bits()).collect();
@@ -261,7 +255,6 @@ fn compute_matches_per_row_and_recorded_digests() {
 
 #[test]
 fn apply_delta_matches_per_row_and_recorded_digest() {
-    let _guard = lock();
     let (old, new) = (base_graph(), changed_graph());
     for threads in [1usize, 4] {
         let opts = EmbeddingOptions {

@@ -16,6 +16,7 @@ use crate::threshold::{choose_delta, select_prefix};
 use crate::{CadOptions, Result};
 use cad_commute::{EdgeDelta, OracleProvider, RebuildReason, SharedOracle, UpdateOutcome};
 use cad_graph::WeightedGraph;
+use cad_obs::{Counter, Hist, LabeledCounter};
 use std::sync::Arc;
 
 /// How the streaming detector obtains each arriving instance's oracle.
@@ -333,7 +334,7 @@ impl OnlineCad {
                 )
             });
             let scores = scores?;
-            cad_obs::histograms::TRANSITION_SCORE_SECS.observe(secs);
+            cad_obs::observe(Hist::TransitionScoreSecs, secs);
             metrics.score_secs = secs;
             metrics.n_scored = scores.len();
             self.seen += 1;
@@ -403,8 +404,8 @@ impl OnlineCad {
             };
         match attempt {
             Some(Ok((oracle, update_secs, changes))) => {
-                cad_obs::counters::INCREMENTAL_UPDATES.inc();
-                cad_obs::histograms::ORACLE_UPDATE_SECS.observe(update_secs);
+                cad_obs::count(Counter::IncrementalUpdates, 1);
+                cad_obs::observe(Hist::OracleUpdateSecs, update_secs);
                 cad_obs::events::record(
                     cad_obs::EventKind::Update,
                     "incremental",
@@ -421,8 +422,8 @@ impl OnlineCad {
                 ))
             }
             Some(Err(reason)) => {
-                cad_obs::counters::REBUILD_FALLBACKS.inc();
-                cad_obs::labeled::REBUILD_FALLBACKS_BY_REASON.inc(reason.name());
+                cad_obs::count(Counter::RebuildFallbacks, 1);
+                cad_obs::count_labeled(LabeledCounter::RebuildFallbacks, reason.name());
                 cad_obs::events::record(cad_obs::EventKind::Fallback, reason.name(), 0.0, 0);
                 let (oracle, build_secs) = cad_obs::time_it(|| self.build_fresh(g));
                 let oracle = oracle?;

@@ -48,7 +48,6 @@ impl RocCurve {
 /// from `(0,0)` to `(1,1)` so downstream averaging stays well-defined.
 pub fn roc_curve(scores: &[f64], labels: &[bool]) -> RocCurve {
     assert_eq!(scores.len(), labels.len(), "scores and labels must align");
-    cad_obs::global().add_counter("eval.roc_curves", 1);
     let p = labels.iter().filter(|&&l| l).count();
     let n = labels.len() - p;
     if p == 0 || n == 0 {

@@ -57,6 +57,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use cad_obs::{Counter, Hist};
 use cad_store::crc::crc32;
 
 /// First eight bytes of every segment file.
@@ -294,7 +295,7 @@ impl SessionJournal {
         file.write_all(&header)?;
         file.sync_all()?;
         sync_dir(&dir)?;
-        cad_obs::counters::JOURNAL_BYTES_WRITTEN.add(header.len() as u64);
+        cad_obs::count(Counter::JournalBytesWritten, header.len() as u64);
         Ok(SessionJournal {
             dir,
             session_id,
@@ -357,9 +358,9 @@ impl SessionJournal {
         let frame = encode_frame(kind, payload);
         let t0 = Instant::now();
         self.file.write_all(&frame)?;
-        cad_obs::histograms::JOURNAL_APPEND_SECS.observe(t0.elapsed().as_secs_f64());
-        cad_obs::counters::JOURNAL_APPENDS.inc();
-        cad_obs::counters::JOURNAL_BYTES_WRITTEN.add(frame.len() as u64);
+        cad_obs::observe(Hist::JournalAppendSecs, t0.elapsed().as_secs_f64());
+        cad_obs::count(Counter::JournalAppends, 1);
+        cad_obs::count(Counter::JournalBytesWritten, frame.len() as u64);
         self.seg_bytes += frame.len() as u64;
         self.total_bytes += frame.len() as u64;
         match self.cfg.fsync {
@@ -382,7 +383,7 @@ impl SessionJournal {
     pub fn sync(&mut self) -> io::Result<()> {
         let t0 = Instant::now();
         self.file.sync_all()?;
-        cad_obs::histograms::JOURNAL_FSYNC_SECS.observe(t0.elapsed().as_secs_f64());
+        cad_obs::observe(Hist::JournalFsyncSecs, t0.elapsed().as_secs_f64());
         self.unsynced = 0;
         Ok(())
     }
@@ -401,7 +402,7 @@ impl SessionJournal {
         let header = segment_header(self.session_id, seq, self.seg_bytes);
         file.write_all(&header)?;
         sync_dir(&self.dir)?;
-        cad_obs::counters::JOURNAL_BYTES_WRITTEN.add(header.len() as u64);
+        cad_obs::count(Counter::JournalBytesWritten, header.len() as u64);
         self.file = file;
         self.seg_seq = seq;
         self.seg_bytes = HEADER_LEN as u64;
@@ -450,8 +451,8 @@ impl SessionJournal {
             fs::remove_file(self.dir.join(segment_file_name(old)))?;
         }
         sync_dir(&self.dir)?;
-        cad_obs::counters::JOURNAL_BYTES_WRITTEN.add(bytes.len() as u64);
-        cad_obs::counters::JOURNAL_COMPACTIONS.inc();
+        cad_obs::count(Counter::JournalBytesWritten, bytes.len() as u64);
+        cad_obs::count(Counter::JournalCompactions, 1);
         cad_obs::events::record(
             cad_obs::EventKind::Compaction,
             "compaction",
@@ -701,7 +702,7 @@ pub fn recover_session(dir: &Path) -> Result<RecoveredJournal, JournalError> {
         let parsed = parse_segment(path, &bytes, session_id, *seq, i == last)?;
         if parsed.torn {
             torn_tail = true;
-            cad_obs::counters::JOURNAL_TORN_TAILS.inc();
+            cad_obs::count(Counter::JournalTornTails, 1);
             cad_obs::events::record(cad_obs::EventKind::Recovery, "torn_tail", 0.0, session_id);
         }
         if parsed.dropped {

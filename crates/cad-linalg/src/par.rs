@@ -16,6 +16,9 @@
 //! [`std::thread::scope`] plus one mutex-guarded slot per item. The
 //! mutexes are uncontended (each slot is written once by one thread) so
 //! the overhead is a pointer write per item.
+//!
+//! Workers record metrics into the calling thread's current
+//! [`cad_obs::Registry`], so counters are the same for any thread count.
 
 use std::sync::Mutex;
 
@@ -55,11 +58,14 @@ where
 
     let slots: Vec<Mutex<Option<std::result::Result<U, E>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
+    let registry = cad_obs::current();
     std::thread::scope(|scope| {
         for t in 0..workers {
             let f = &f;
             let slots = &slots;
+            let registry = &registry;
             scope.spawn(move || {
+                let _metrics = registry.enter();
                 let mut i = t;
                 while i < n {
                     let out = f(i);

@@ -8,6 +8,7 @@ use crate::error::LinalgError;
 use crate::solve::precond::Preconditioner;
 use crate::sparse::CsrMatrix;
 use crate::Result;
+use cad_obs::{Counter, Hist};
 
 /// Abstract symmetric linear operator `y = A x`, as consumed by the
 /// Lanczos eigensolver ([`crate::eig`]).
@@ -312,13 +313,13 @@ pub(crate) fn cg_solve_panel<const W: usize>(
 
     let mut stats = Vec::with_capacity(lanes);
     for (j, trace) in traces.into_iter().enumerate().take(lanes) {
-        cad_obs::counters::CG_SOLVES.inc();
+        cad_obs::count(Counter::CgSolves, 1);
         if zero[j] {
             for xr in x.chunks_exact_mut(W) {
                 xr[j] = 0.0;
             }
-            cad_obs::histograms::CG_ITERATIONS.observe(0.0);
-            cad_obs::histograms::CG_RESIDUALS.observe(0.0);
+            cad_obs::observe(Hist::CgIterations, 0.0);
+            cad_obs::observe(Hist::CgResiduals, 0.0);
             stats.push(cad_obs::SolveStats {
                 iterations: 0,
                 relative_residual: 0.0,
@@ -328,9 +329,9 @@ pub(crate) fn cg_solve_panel<const W: usize>(
             continue;
         }
         let relative_residual = rnorm[j] / bnorm[j];
-        cad_obs::counters::CG_ITERATIONS.add(iterations[j] as u64);
-        cad_obs::histograms::CG_ITERATIONS.observe(iterations[j] as f64);
-        cad_obs::histograms::CG_RESIDUALS.observe(relative_residual);
+        cad_obs::count(Counter::CgIterations, iterations[j] as u64);
+        cad_obs::observe(Hist::CgIterations, iterations[j] as f64);
+        cad_obs::observe(Hist::CgResiduals, relative_residual);
         stats.push(cad_obs::SolveStats {
             iterations: iterations[j],
             relative_residual,
@@ -343,7 +344,7 @@ pub(crate) fn cg_solve_panel<const W: usize>(
 
 /// One `linalg.spmv` per lane that took part in an operator application.
 fn count_spmv(lanes: &[bool]) {
-    cad_obs::counters::SPMV.add(lanes.iter().filter(|&&on| on).count() as u64);
+    cad_obs::count(Counter::Spmv, lanes.iter().filter(|&&on| on).count() as u64);
 }
 
 /// The value `Iterator::sum` folds from (`-0.0` on current toolchains,

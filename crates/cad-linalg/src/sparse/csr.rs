@@ -173,7 +173,7 @@ impl CsrMatrix {
                 found: (y.len(), x.len()),
             });
         }
-        cad_obs::counters::SPMV.inc();
+        cad_obs::count(cad_obs::Counter::Spmv, 1);
         for (i, yi) in y.iter_mut().enumerate() {
             let (cols, vals) = self.row(i);
             let mut acc = 0.0;

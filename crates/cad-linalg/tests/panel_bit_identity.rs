@@ -4,16 +4,14 @@
 //! kind, on graphs with several components and isolated nodes, with
 //! all-zero right-hand sides and padded panels.
 //!
-//! Both tests read process-wide telemetry, so they hold [`TELEMETRY`].
+//! Telemetry is read from a private [`Registry`] per measured call.
 
 use cad_linalg::solve::laplacian::PrecondKind;
 use cad_linalg::solve::{CgOptions, LaplacianSolver, LaplacianSolverOptions, SolverKind};
 use cad_linalg::sparse::CsrMatrix;
-use cad_obs::SolveStats;
+use cad_obs::{Counter, Hist, Registry, SolveStats};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static TELEMETRY: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 const W: usize = 8;
 
@@ -54,26 +52,18 @@ fn stats_bits(s: &SolveStats) -> (usize, u64, bool, Vec<u64>) {
     )
 }
 
-/// `[linalg.spmv, linalg.cg_solves, linalg.cg_iterations]`.
-fn counters() -> [u64; 3] {
-    [
-        cad_obs::counters::SPMV.get(),
-        cad_obs::counters::CG_SOLVES.get(),
-        cad_obs::counters::CG_ITERATIONS.get(),
-    ]
-}
-
-/// Counter deltas and the two CG histograms recorded by `f`.
+/// `[linalg.spmv, linalg.cg_solves, linalg.cg_iterations]` and the two
+/// CG histograms recorded by `f`.
 fn telemetry(f: impl FnOnce()) -> ([u64; 3], cad_obs::Histogram, cad_obs::Histogram) {
-    cad_obs::histograms::CG_ITERATIONS.reset();
-    cad_obs::histograms::CG_RESIDUALS.reset();
-    let before = counters();
-    f();
-    let after = counters();
+    let reg = Arc::new(Registry::new());
+    {
+        let _metrics = reg.enter();
+        f();
+    }
     (
-        std::array::from_fn(|i| after[i] - before[i]),
-        cad_obs::histograms::CG_ITERATIONS.snapshot(),
-        cad_obs::histograms::CG_RESIDUALS.snapshot(),
+        [Counter::Spmv, Counter::CgSolves, Counter::CgIterations].map(|c| reg.counter(c)),
+        reg.histogram(Hist::CgIterations),
+        reg.histogram(Hist::CgResiduals),
     )
 }
 
@@ -153,7 +143,6 @@ proptest! {
         picks in (0usize..5, 0usize..3),
     ) {
         let (k_pick, cap_pick) = picks;
-        let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
         let k = [1, 7, 8, 9, 50][k_pick];
         let max_iter = [None, Some(0), Some(3)][cap_pick];
         let l = laplacian(n, &edges);
@@ -185,7 +174,8 @@ proptest! {
 /// panel.
 #[test]
 fn traced_panel_records_one_event_per_column() {
-    let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    let reg = Arc::new(Registry::new());
+    let _metrics = reg.enter();
     let edges: Vec<(u32, u32, f64)> = (0..30).map(|i| (i, (i * 7 + 3) % 31, 1.0)).collect();
     let (n, k) = (31, 11);
     let solver =
@@ -194,7 +184,7 @@ fn traced_panel_records_one_event_per_column() {
     let _trace = cad_obs::trace::set_current(cad_obs::trace::TraceCtx::mint(0));
     let trace_id = cad_obs::trace::current().trace_id;
     let events = || -> Vec<u64> {
-        cad_obs::events::recorder()
+        reg.events()
             .snapshot(usize::MAX)
             .events
             .into_iter()

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! and every layer can then read [`stats`] — totals feed the
-//! `mem.*` gauges in `/metrics` ([`crate::metrics::gauges`]) and the
+//! `mem.*` gauges of every [`crate::Registry::snapshot`] and the
 //! `memory` section of the schema-v4 report ([`crate::report`]).
 //!
 //! Design constraints, in order:
@@ -34,10 +34,11 @@
 //!   TLS), so unrelated threads usually bump disjoint lines. Reads sum
 //!   the stripes.
 //!
-//! Counters are process-lifetime monotone and deliberately **not**
-//! reset by [`crate::reset`]: a reset racing a free could drive
-//! `frees > allocs` and make every derived quantity a lie. Consumers
-//! that want per-phase numbers take two snapshots and subtract.
+//! Counters are process-lifetime monotone and deliberately never reset
+//! (they live outside any [`crate::Registry`]): a reset racing a free
+//! could drive `frees > allocs` and make every derived quantity a lie.
+//! Consumers that want per-phase numbers take two snapshots and
+//! subtract.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -230,7 +230,8 @@ impl Slot {
     }
 }
 
-/// The process-wide bounded event ring. Obtain it via [`recorder`].
+/// A bounded event ring. Each [`crate::Registry`] owns one; [`record`]
+/// writes to the current registry's ring.
 pub struct FlightRecorder {
     head: AtomicU64,
     dropped: AtomicU64,
@@ -250,21 +251,11 @@ pub struct RingSnapshot {
     pub events: Vec<EventRecord>,
 }
 
-static RECORDER: FlightRecorder = FlightRecorder {
-    head: AtomicU64::new(0),
-    dropped: AtomicU64::new(0),
-    slots: [const { Slot::new() }; RING_CAPACITY],
-};
-
-/// The process-wide flight recorder.
-pub fn recorder() -> &'static FlightRecorder {
-    &RECORDER
-}
-
-/// Record an event stamped with this thread's ambient
-/// [`crate::trace::current`] context.
+/// Record an event into the current registry's ring, stamped with this
+/// thread's ambient [`crate::trace::current`] context.
 pub fn record(kind: EventKind, name: &str, secs: f64, detail: u64) {
-    RECORDER.record_for(crate::trace::current(), kind, name, secs, detail);
+    let ctx = crate::trace::current();
+    crate::metrics::with_current(|r| r.events().record_for(ctx, kind, name, secs, detail));
 }
 
 /// Wall-clock Unix epoch milliseconds — the timestamp events and
@@ -276,7 +267,22 @@ pub fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlightRecorder {
+    /// An empty ring (const, for the process-default registry).
+    pub const fn new() -> Self {
+        FlightRecorder {
+            head: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            slots: [const { Slot::new() }; RING_CAPACITY],
+        }
+    }
+
     /// Record one event under an explicit trace context.
     pub fn record_for(
         &self,
@@ -389,26 +395,12 @@ impl FlightRecorder {
             snap.dropped
         )
     }
-
-    /// Clear the ring and its accounting (test isolation; see
-    /// [`crate::reset`]).
-    pub fn reset(&self) {
-        for slot in &self.slots {
-            slot.version.store(0, Ordering::Release);
-        }
-        self.head.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::TraceCtx;
-    use std::sync::Mutex;
-
-    /// The ring is process-global; serialize tests that reset it.
-    static RING_LOCK: Mutex<()> = Mutex::new(());
 
     fn ctx(trace: u64) -> TraceCtx {
         TraceCtx {
@@ -419,11 +411,10 @@ mod tests {
 
     #[test]
     fn records_round_trip_with_trace_attribution() {
-        let _guard = RING_LOCK.lock().unwrap();
-        RECORDER.reset();
-        RECORDER.record_for(ctx(0xfeed), EventKind::QueueWait, "queue_wait", 0.25, 0);
-        RECORDER.record_for(ctx(0xfeed), EventKind::Update, "incremental", 0.5, 3);
-        let snap = RECORDER.snapshot(16);
+        let rec = FlightRecorder::new();
+        rec.record_for(ctx(0xfeed), EventKind::QueueWait, "queue_wait", 0.25, 0);
+        rec.record_for(ctx(0xfeed), EventKind::Update, "incremental", 0.5, 3);
+        let snap = rec.snapshot(16);
         assert_eq!(snap.total, 2);
         assert_eq!(snap.dropped, 0);
         assert_eq!(snap.events.len(), 2);
@@ -441,24 +432,22 @@ mod tests {
 
     #[test]
     fn unknown_names_map_to_other() {
-        let _guard = RING_LOCK.lock().unwrap();
-        RECORDER.reset();
-        RECORDER.record_for(ctx(1), EventKind::Error, "never-in-the-table", 0.0, 500);
-        let snap = RECORDER.snapshot(1);
+        let rec = FlightRecorder::new();
+        rec.record_for(ctx(1), EventKind::Error, "never-in-the-table", 0.0, 500);
+        let snap = rec.snapshot(1);
         assert_eq!(snap.events[0].name, "other");
     }
 
     #[test]
     fn wraparound_overwrites_oldest_and_counts_drops() {
-        let _guard = RING_LOCK.lock().unwrap();
-        RECORDER.reset();
+        let rec = FlightRecorder::new();
         let n = RING_CAPACITY as u64 + 37;
         for i in 0..n {
-            RECORDER.record_for(ctx(1), EventKind::Request, "request", 0.0, i);
+            rec.record_for(ctx(1), EventKind::Request, "request", 0.0, i);
         }
-        assert_eq!(RECORDER.total(), n);
-        assert_eq!(RECORDER.dropped(), 37);
-        let snap = RECORDER.snapshot(RING_CAPACITY);
+        assert_eq!(rec.total(), n);
+        assert_eq!(rec.dropped(), 37);
+        let snap = rec.snapshot(RING_CAPACITY);
         assert_eq!(snap.events.len(), RING_CAPACITY);
         // Oldest retained is exactly the first non-dropped sequence.
         assert_eq!(snap.events.first().unwrap().seq, 37);
@@ -467,15 +456,14 @@ mod tests {
 
     #[test]
     fn limit_returns_the_newest_in_order() {
-        let _guard = RING_LOCK.lock().unwrap();
-        RECORDER.reset();
+        let rec = FlightRecorder::new();
         for i in 0..10u64 {
-            RECORDER.record_for(ctx(1), EventKind::Request, "request", 0.0, i);
+            rec.record_for(ctx(1), EventKind::Request, "request", 0.0, i);
         }
-        let snap = RECORDER.snapshot(3);
+        let snap = rec.snapshot(3);
         let seqs: Vec<u64> = snap.events.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-        assert!(RECORDER.snapshot(0).events.is_empty());
+        assert!(rec.snapshot(0).events.is_empty());
     }
 
     #[test]
@@ -509,11 +497,10 @@ mod tests {
 
     #[test]
     fn dump_writes_ndjson_with_accounting() {
-        let _guard = RING_LOCK.lock().unwrap();
-        RECORDER.reset();
-        RECORDER.record_for(ctx(3), EventKind::Eviction, "session_evicted", 0.0, 11);
+        let rec = FlightRecorder::new();
+        rec.record_for(ctx(3), EventKind::Eviction, "session_evicted", 0.0, 11);
         let mut out = Vec::new();
-        RECORDER.dump(&mut out).unwrap();
+        rec.dump(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

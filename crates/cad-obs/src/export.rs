@@ -10,18 +10,16 @@
 //! a general web server and deliberately rejects everything but
 //! `GET /metrics` and `GET /healthz`.
 //!
-//! [`render_prometheus`] snapshots the process-wide sinks — well-known
-//! [`counters`](crate::metrics::counters), well-known
-//! [`histograms`](crate::hist::histograms) and the [`global`] span
-//! registry — into Prometheus text-exposition format (version 0.0.4):
+//! [`render_prometheus`] snapshots the current [`crate::Registry`] —
+//! counters, gauges, histograms, their labeled families and the span
+//! aggregates — into Prometheus text-exposition format (version 0.0.4):
 //! counters as `cad_<name>_total`, histograms as cumulative
 //! `_bucket{le=...}` series plus `_sum`/`_count`, span aggregates as
 //! `cad_span_seconds_total{path=...}` / `cad_span_calls_total{path=...}`.
 
-use crate::global;
-use crate::hist::{bucket_le, histograms, Histogram, N_BUCKETS};
+use crate::hist::{bucket_le, Histogram, N_BUCKETS};
 use crate::http::{self, HttpLimits};
-use crate::metrics::counters;
+use crate::metrics::{with_current, Registry};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -109,29 +107,26 @@ fn render_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
     render_histogram_series(out, &base, None, h);
 }
 
-/// Render the live process-wide metric sinks as Prometheus text
-/// (exposition format 0.0.4). Deterministic given a fixed sink state:
-/// well-known counters, gauges and histograms print in their stable
+/// Render the calling thread's current registry as Prometheus text
+/// (exposition format 0.0.4). Deterministic given a fixed registry
+/// state: counters, gauges and histograms print in their stable
 /// declaration order (labeled series in label-value declaration order),
 /// span paths in BTreeMap (lexicographic) order.
 pub fn render_prometheus() -> String {
-    let labeled_counters = crate::metrics::labeled::snapshot();
-    let labeled_hists = crate::hist::histograms::labeled::snapshot();
+    let snap = with_current(Registry::snapshot);
     let mut out = String::new();
-    for (name, value) in counters::snapshot() {
+    for (name, value) in &snap.counters {
         let base = prom_name(name);
         out.push_str(&format!("# TYPE {base}_total counter\n"));
         out.push_str(&format!("{base}_total {value}\n"));
         // A labeled family with the same name shares this declaration:
         // the unlabeled series stays the all-values aggregate.
-        for (fam_name, label, cells) in &labeled_counters {
-            if *fam_name != name {
-                continue;
-            }
-            for (val, n) in cells {
+        for fam in snap.labeled_counters.iter().filter(|f| f.name == *name) {
+            for (val, n) in &fam.cells {
                 if *n > 0 {
                     out.push_str(&format!(
-                        "{base}_total{{{label}=\"{}\"}} {n}\n",
+                        "{base}_total{{{}=\"{}\"}} {n}\n",
+                        fam.label,
                         escape_label(val)
                     ));
                 }
@@ -139,53 +134,50 @@ pub fn render_prometheus() -> String {
         }
     }
     // Labeled counter families without an unlabeled sibling.
-    for (fam_name, label, cells) in &labeled_counters {
-        if counters::snapshot().iter().any(|(n, _)| n == fam_name) {
+    for fam in &snap.labeled_counters {
+        if snap.counters.iter().any(|(n, _)| *n == fam.name) {
             continue;
         }
-        let base = prom_name(fam_name);
+        let base = prom_name(fam.name);
         out.push_str(&format!("# TYPE {base}_total counter\n"));
-        for (val, n) in cells {
+        for (val, n) in &fam.cells {
             if *n > 0 {
                 out.push_str(&format!(
-                    "{base}_total{{{label}=\"{}\"}} {n}\n",
+                    "{base}_total{{{}=\"{}\"}} {n}\n",
+                    fam.label,
                     escape_label(val)
                 ));
             }
         }
     }
-    for (name, value) in crate::metrics::gauges::snapshot() {
+    for (name, value) in &snap.gauges {
         let base = prom_name(name);
         out.push_str(&format!("# TYPE {base} gauge\n"));
         out.push_str(&format!("{base} {value}\n"));
     }
-    for (name, h) in histograms::snapshot() {
-        render_histogram(&mut out, name, "log-bucketed value distribution", &h);
-        for (fam_name, label, cells) in &labeled_hists {
-            if *fam_name != name {
-                continue;
-            }
-            for (val, lh) in cells {
+    for (name, h) in &snap.histograms {
+        render_histogram(&mut out, name, "log-bucketed value distribution", h);
+        for fam in snap.labeled_histograms.iter().filter(|f| f.name == *name) {
+            for (val, lh) in &fam.cells {
                 if lh.count > 0 {
-                    render_histogram_series(&mut out, &prom_name(name), Some((label, val)), lh);
+                    render_histogram_series(&mut out, &prom_name(name), Some((fam.label, val)), lh);
                 }
             }
         }
     }
     // Labeled histogram families without an unlabeled sibling.
-    for (fam_name, label, cells) in &labeled_hists {
-        if histograms::snapshot().iter().any(|(n, _)| n == fam_name) {
+    for fam in &snap.labeled_histograms {
+        if snap.histograms.iter().any(|(n, _)| *n == fam.name) {
             continue;
         }
-        let base = prom_name(fam_name);
+        let base = prom_name(fam.name);
         out.push_str(&format!("# TYPE {base} histogram\n"));
-        for (val, lh) in cells {
+        for (val, lh) in &fam.cells {
             if lh.count > 0 {
-                render_histogram_series(&mut out, &base, Some((label, val)), lh);
+                render_histogram_series(&mut out, &base, Some((fam.label, val)), lh);
             }
         }
     }
-    let snap = global().snapshot();
     if !snap.spans.is_empty() {
         out.push_str("# TYPE cad_span_seconds_total counter\n");
         for (path, stat) in &snap.spans {
@@ -271,7 +263,8 @@ impl Default for WatchHealth {
 }
 
 /// The embedded metrics endpoint: one listener thread serving
-/// `GET /metrics` (Prometheus text) and `GET /healthz` (JSON liveness).
+/// `GET /metrics` (Prometheus text of the registry current when the
+/// server started) and `GET /healthz` (JSON liveness).
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -287,9 +280,11 @@ impl MetricsServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        let registry = crate::metrics::current();
         let handle = std::thread::Builder::new()
             .name("cad-metrics".into())
             .spawn(move || {
+                let _registry = registry.enter();
                 for conn in listener.incoming() {
                     if stop2.load(Ordering::Relaxed) {
                         break;
@@ -402,6 +397,7 @@ fn serve_conn(mut stream: TcpStream, health: &WatchHealth) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Counter, Gauge, Hist, LabeledCounter, LabeledHist};
     use std::io::{BufRead, Read, Write};
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -432,10 +428,12 @@ mod tests {
 
     #[test]
     fn render_contains_counters_and_histogram_series() {
-        crate::counters::SPMV.add(7);
-        crate::histograms::CG_ITERATIONS.observe(12.0);
+        let reg = Arc::new(Registry::new());
+        let _g = reg.enter();
+        crate::count(Counter::Spmv, 7);
+        crate::observe(Hist::CgIterations, 12.0);
         let text = render_prometheus();
-        assert!(text.contains("cad_linalg_spmv_total"), "{text}");
+        assert!(text.contains("cad_linalg_spmv_total 7\n"), "{text}");
         assert!(text.contains("# TYPE cad_cg_iterations histogram"));
         assert!(text.contains("cad_cg_iterations_bucket{le=\"+Inf\"}"));
         assert!(text.contains("cad_cg_iterations_sum"));
@@ -452,9 +450,11 @@ mod tests {
 
     #[test]
     fn render_contains_gauges_and_labeled_series() {
-        crate::metrics::gauges::SERVE_QUEUE_DEPTH.set(3);
-        crate::metrics::labeled::REBUILD_FALLBACKS_BY_REASON.inc("structural");
-        crate::histograms::labeled::SERVE_PUSH_SECS_BY_ENGINE.observe("exact", 0.01);
+        let reg = Arc::new(Registry::new());
+        let _g = reg.enter();
+        crate::gauge_add(Gauge::ServeQueueDepth, 3);
+        crate::count_labeled(LabeledCounter::RebuildFallbacks, "structural");
+        crate::observe_labeled(LabeledHist::ServePushSecs, "exact", 0.01);
         let text = render_prometheus();
         assert!(
             text.contains("# TYPE cad_serve_queue_depth gauge"),
@@ -491,7 +491,55 @@ mod tests {
                 "malformed line: {line}"
             );
         }
-        crate::metrics::gauges::SERVE_QUEUE_DEPTH.reset();
+    }
+
+    /// Value of the exposition line starting with `prefix`.
+    fn sample(text: &str, prefix: &str) -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{text}"));
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    }
+
+    /// A live histogram scraped while writers race on it must agree with
+    /// itself: `count` equals its bucket total in every snapshot, and
+    /// the rendered `_count` equals the `le="+Inf"` bucket.
+    #[test]
+    fn live_histogram_scrapes_are_self_consistent() {
+        let reg = Arc::new(Registry::new());
+        let _g = reg.enter();
+        let writers_done = std::sync::atomic::AtomicUsize::new(0);
+        let (mut scrapes, mut torn) = (0, Vec::new());
+        std::thread::scope(|s| {
+            for w in 0..2u64 {
+                let (reg, writers_done) = (&reg, &writers_done);
+                s.spawn(move || {
+                    for i in 0..400_000u64 {
+                        reg.observe(Hist::OracleBuildSecs, (1 + (i + w) % 40) as f64 * 1e-3);
+                    }
+                    writers_done.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            while writers_done.load(Ordering::Relaxed) < 2 {
+                let h = reg.histogram(Hist::OracleBuildSecs);
+                let buckets = h.bucket_counts().iter().sum::<u64>();
+                let text = render_prometheus();
+                let count = sample(&text, "cad_oracle_build_secs_count ");
+                let inf = sample(&text, "cad_oracle_build_secs_bucket{le=\"+Inf\"} ");
+                if h.count != buckets || count != inf {
+                    torn.push((h.count, buckets, count, inf));
+                }
+                scrapes += 1;
+            }
+        });
+        assert!(
+            torn.is_empty(),
+            "{} of {scrapes} scrapes torn: {:?}",
+            torn.len(),
+            &torn[..torn.len().min(5)]
+        );
+        assert_eq!(reg.histogram(Hist::OracleBuildSecs).count, 800_000);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Log-bucketed (HDR-style) latency/value histograms.
 //!
-//! Two tiers, mirroring the counter/summary split in [`crate::metrics`]:
+//! Two tiers:
 //!
 //! * [`Histogram`] — a plain value type with fixed log-spaced buckets.
 //!   Recording and merging are deterministic: bucket counts are
@@ -10,9 +10,10 @@
 //!   count. This is the type that lands in the versioned
 //!   [`crate::Report`].
 //! * [`AtomicHistogram`] — the live-telemetry twin: lock-free recording
-//!   from any thread into atomic buckets, backing the `/metrics`
-//!   exporter during `cad watch`. Bucket counts and `count` stay exact
-//!   under racing (integer adds commute); the f64 `sum` is CAS-folded in
+//!   from any thread into atomic buckets, backing the histogram cells of
+//!   a [`crate::Registry`]. Bucket counts stay exact under racing
+//!   (integer adds commute) and a snapshot's `count` is their sum; the
+//!   f64 `sum` is CAS-folded in
 //!   arrival order and therefore only reproducible for integer-valued
 //!   samples — acceptable because the live sums are wall-times, the one
 //!   sanctioned nondeterminism (see `crate::stats`).
@@ -225,12 +226,13 @@ impl Histogram {
 
 /// Lock-free histogram for hot-path recording from any thread.
 ///
-/// Const-constructible so it can back `static` well-known histograms
-/// ([`histograms`]). Snapshotting produces a plain [`Histogram`].
+/// Const-constructible so it can back the [`crate::Registry`] cells.
+/// Snapshotting produces a plain [`Histogram`] whose `count` is the sum
+/// of the bucket counts it read, so a snapshot taken during concurrent
+/// [`AtomicHistogram::observe`] calls always agrees with itself.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     counts: [AtomicU64; N_BUCKETS],
-    count: AtomicU64,
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
@@ -241,7 +243,6 @@ impl AtomicHistogram {
     pub const fn new() -> Self {
         AtomicHistogram {
             counts: [const { AtomicU64::new(0) }; N_BUCKETS],
-            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0),                     // 0.0f64
             min_bits: AtomicU64::new(0x7ff0_0000_0000_0000), // +inf
             max_bits: AtomicU64::new(0xfff0_0000_0000_0000), // -inf
@@ -251,7 +252,6 @@ impl AtomicHistogram {
     /// Record one sample (lock-free; bucket counts exact under racing).
     pub fn observe(&self, v: f64) {
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         let _ = self
             .sum_bits
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
@@ -269,222 +269,24 @@ impl AtomicHistogram {
             });
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time copy as a plain [`Histogram`].
+    /// Point-in-time copy as a plain [`Histogram`]; `count` is derived
+    /// from the buckets read.
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
         for (slot, src) in h.counts.iter_mut().zip(&self.counts) {
             *slot = src.load(Ordering::Relaxed);
         }
-        h.count = self.count.load(Ordering::Relaxed);
+        h.count = h.counts.iter().sum();
         h.sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
         h.min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
         h.max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
         h
-    }
-
-    /// Zero everything (single-process CLI runs and test isolation).
-    pub fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0, Ordering::Relaxed);
-        self.min_bits
-            .store(0x7ff0_0000_0000_0000, Ordering::Relaxed);
-        self.max_bits
-            .store(0xfff0_0000_0000_0000, Ordering::Relaxed);
     }
 }
 
 impl Default for AtomicHistogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Well-known live histograms, recorded from the numeric kernels and
-/// the detection loop. Names are the stable report/exporter keys.
-pub mod histograms {
-    use super::{AtomicHistogram, Histogram};
-
-    /// Iterations per CG/PCG solve.
-    pub static CG_ITERATIONS: AtomicHistogram = AtomicHistogram::new();
-    /// Final relative residual per CG/PCG solve.
-    pub static CG_RESIDUALS: AtomicHistogram = AtomicHistogram::new();
-    /// Wall-clock seconds per distance-oracle build.
-    pub static ORACLE_BUILD_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// Wall-clock seconds per in-place oracle delta update (the
-    /// incremental sibling of `oracle_build_secs`).
-    pub static ORACLE_UPDATE_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// Wall-clock seconds per transition scoring pass.
-    pub static TRANSITION_SCORE_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// Wall-clock seconds per `.cadpack`/oracle-cache read or write.
-    pub static PACK_IO_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// `cad serve`: wall-clock seconds per `POST .../snapshots` request
-    /// (parse + push + respond — the detection hot path).
-    pub static SERVE_PUSH_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// `cad serve`: wall-clock seconds per `POST /v1/sequences`
-    /// (session creation).
-    pub static SERVE_CREATE_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// `cad serve`: wall-clock seconds per remaining endpoint (status,
-    /// delete, healthz, metrics).
-    pub static SERVE_ADMIN_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// `cad serve`: seconds an accepted connection waited in the worker
-    /// queue before a worker picked it up.
-    pub static SERVE_QUEUE_WAIT_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// Journal: wall-clock seconds per record append (frame encode +
-    /// write, excluding any fsync).
-    pub static JOURNAL_APPEND_SECS: AtomicHistogram = AtomicHistogram::new();
-    /// Journal: wall-clock seconds per `fsync` issued by the configured
-    /// durability policy.
-    pub static JOURNAL_FSYNC_SECS: AtomicHistogram = AtomicHistogram::new();
-
-    /// Snapshot of every well-known histogram, keyed by its stable
-    /// report name.
-    pub fn snapshot() -> Vec<(&'static str, Histogram)> {
-        vec![
-            ("cg_iterations", CG_ITERATIONS.snapshot()),
-            ("cg_residuals", CG_RESIDUALS.snapshot()),
-            ("oracle_build_secs", ORACLE_BUILD_SECS.snapshot()),
-            ("oracle_update_secs", ORACLE_UPDATE_SECS.snapshot()),
-            ("transition_score_secs", TRANSITION_SCORE_SECS.snapshot()),
-            ("pack_io_secs", PACK_IO_SECS.snapshot()),
-            ("serve_push_secs", SERVE_PUSH_SECS.snapshot()),
-            ("serve_create_secs", SERVE_CREATE_SECS.snapshot()),
-            ("serve_admin_secs", SERVE_ADMIN_SECS.snapshot()),
-            ("serve_queue_wait_secs", SERVE_QUEUE_WAIT_SECS.snapshot()),
-            ("journal_append_secs", JOURNAL_APPEND_SECS.snapshot()),
-            ("journal_fsync_secs", JOURNAL_FSYNC_SECS.snapshot()),
-        ]
-    }
-
-    /// Zero every well-known histogram.
-    pub fn reset_all() {
-        CG_ITERATIONS.reset();
-        CG_RESIDUALS.reset();
-        ORACLE_BUILD_SECS.reset();
-        ORACLE_UPDATE_SECS.reset();
-        TRANSITION_SCORE_SECS.reset();
-        PACK_IO_SECS.reset();
-        SERVE_PUSH_SECS.reset();
-        SERVE_CREATE_SECS.reset();
-        SERVE_ADMIN_SECS.reset();
-        SERVE_QUEUE_WAIT_SECS.reset();
-        JOURNAL_APPEND_SECS.reset();
-        JOURNAL_FSYNC_SECS.reset();
-        labeled::reset_all();
-    }
-
-    /// Labeled histogram families: one [`AtomicHistogram`] per allowed
-    /// label value, cardinality fixed at compile time (the same bounded
-    /// discipline as [`crate::metrics::LabeledCounters`]). The family
-    /// name may coincide with an unlabeled histogram's — the Prometheus
-    /// renderer groups both under one `# TYPE` declaration.
-    pub mod labeled {
-        use super::{AtomicHistogram, Histogram};
-
-        /// `serve_push_secs` split by the oracle backend that served
-        /// the push (`engine` label). The unlabeled sibling remains the
-        /// all-engines aggregate.
-        pub struct LabeledHistograms<const N: usize> {
-            /// Base metric name (exposition key).
-            pub name: &'static str,
-            /// The label key (e.g. `engine`).
-            pub label: &'static str,
-            /// Allowed label values; the last entry is the catch-all.
-            pub values: [&'static str; N],
-            cells: [AtomicHistogram; N],
-        }
-
-        impl<const N: usize> LabeledHistograms<N> {
-            /// An empty family (const, for statics).
-            pub const fn new(
-                name: &'static str,
-                label: &'static str,
-                values: [&'static str; N],
-            ) -> Self {
-                LabeledHistograms {
-                    name,
-                    label,
-                    values,
-                    cells: [const { AtomicHistogram::new() }; N],
-                }
-            }
-
-            /// Record one sample under `value` (the trailing catch-all
-            /// when `value` is not in the set).
-            pub fn observe(&self, value: &str, v: f64) {
-                let idx = self
-                    .values
-                    .iter()
-                    .position(|&n| n == value)
-                    .unwrap_or(N - 1);
-                self.cells[idx].observe(v);
-            }
-
-            /// Point-in-time copy per label value, declaration order.
-            pub fn snapshot(&self) -> Vec<(&'static str, Histogram)> {
-                self.values
-                    .iter()
-                    .zip(&self.cells)
-                    .map(|(&v, c)| (v, c.snapshot()))
-                    .collect()
-            }
-
-            /// Zero every cell.
-            pub fn reset(&self) {
-                for c in &self.cells {
-                    c.reset();
-                }
-            }
-        }
-
-        /// Push latency by oracle backend.
-        pub static SERVE_PUSH_SECS_BY_ENGINE: LabeledHistograms<5> = LabeledHistograms::new(
-            "serve_push_secs",
-            "engine",
-            ["exact", "embedding", "shortest-path", "corrected", "other"],
-        );
-
-        /// `cad-part`: wall-clock seconds per per-block solve work unit
-        /// (block factor/pseudoinverse build), split by block index.
-        /// Blocks beyond the bounded label set aggregate into `other`.
-        pub static PART_BLOCK_SOLVE_SECS: LabeledHistograms<9> = LabeledHistograms::new(
-            "part_block_solve_secs",
-            "block",
-            ["0", "1", "2", "3", "4", "5", "6", "7", "other"],
-        );
-
-        /// One labeled histogram family:
-        /// `(name, label, [(value, histogram)...])`.
-        pub type FamilySnapshot = (&'static str, &'static str, Vec<(&'static str, Histogram)>);
-
-        /// Every labeled histogram family.
-        pub fn snapshot() -> Vec<FamilySnapshot> {
-            vec![
-                (
-                    SERVE_PUSH_SECS_BY_ENGINE.name,
-                    SERVE_PUSH_SECS_BY_ENGINE.label,
-                    SERVE_PUSH_SECS_BY_ENGINE.snapshot(),
-                ),
-                (
-                    PART_BLOCK_SOLVE_SECS.name,
-                    PART_BLOCK_SOLVE_SECS.label,
-                    PART_BLOCK_SOLVE_SECS.snapshot(),
-                ),
-            ]
-        }
-
-        /// Zero every labeled histogram family.
-        pub fn reset_all() {
-            SERVE_PUSH_SECS_BY_ENGINE.reset();
-            PART_BLOCK_SOLVE_SECS.reset();
-        }
     }
 }
 
@@ -580,30 +382,27 @@ mod tests {
 
     #[test]
     fn atomic_histogram_concurrent_counts_exact() {
-        static H: AtomicHistogram = AtomicHistogram::new();
-        H.reset();
+        let h = AtomicHistogram::new();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for i in 0..1000 {
-                        H.observe(0.001 * (1 + i % 7) as f64);
+                        h.observe(0.001 * (1 + i % 7) as f64);
                     }
                 });
             }
         });
-        let snap = H.snapshot();
+        let snap = h.snapshot();
         assert_eq!(snap.count, 4000);
         assert_eq!(snap.bucket_counts().iter().sum::<u64>(), 4000);
         assert_eq!(snap.min, 0.001);
         assert_eq!(snap.max, 0.007);
         assert!((snap.sum - snap.mean() * 4000.0).abs() < 1e-6);
-        H.reset();
-        assert_eq!(H.snapshot().count, 0);
     }
 
     #[test]
     fn well_known_histograms_have_stable_names() {
-        let names: Vec<&str> = histograms::snapshot().iter().map(|(n, _)| *n).collect();
+        let names: Vec<&str> = crate::Hist::ALL.iter().map(|h| h.name()).collect();
         assert_eq!(
             names,
             vec![
@@ -625,19 +424,18 @@ mod tests {
 
     #[test]
     fn labeled_histograms_route_by_value_with_catch_all() {
-        use histograms::labeled::LabeledHistograms;
-        static FAM: LabeledHistograms<3> =
-            LabeledHistograms::new("test_secs", "engine", ["exact", "embedding", "other"]);
-        FAM.observe("exact", 0.5);
-        FAM.observe("exact", 1.0);
-        FAM.observe("unlisted-backend", 2.0);
-        let snap = FAM.snapshot();
-        assert_eq!(snap[0].0, "exact");
-        assert_eq!(snap[0].1.count, 2);
-        assert_eq!(snap[1].1.count, 0);
-        assert_eq!(snap[2].1.count, 1);
-        FAM.reset();
-        assert!(FAM.snapshot().iter().all(|(_, h)| h.count == 0));
+        let r = crate::Registry::new();
+        let fam = crate::LabeledHist::ServePushSecs;
+        r.observe_labeled(fam, "exact", 0.5);
+        r.observe_labeled(fam, "exact", 1.0);
+        r.observe_labeled(fam, "unlisted-backend", 2.0);
+        let snap = r.snapshot();
+        let cells = &snap.labeled_histograms[fam as usize].cells;
+        assert_eq!(cells[0].0, "exact");
+        assert_eq!(cells[0].1.count, 2);
+        assert_eq!(cells[1].1.count, 0);
+        assert_eq!(cells.last().unwrap().0, "other");
+        assert_eq!(cells.last().unwrap().1.count, 1);
     }
 
     #[test]

@@ -3,18 +3,22 @@
 //! One small crate at the bottom of the workspace dependency graph
 //! provides every layer with the same vocabulary:
 //!
+//! * [`metrics`] — the one metrics [`Registry`]: counters, gauges,
+//!   histograms, labeled families, span aggregates and the flight
+//!   recorder, indexed by the [`Counter`]/[`Gauge`]/[`Hist`]/
+//!   [`LabeledCounter`]/[`LabeledHist`] enums. Recording goes to the
+//!   calling thread's current registry (a scoped one, else the process
+//!   default); see the module docs for how threads hand it on.
 //! * [`span!`] — RAII wall-clock spans with per-thread nesting, fed into
-//!   a process-wide registry ([`metrics::global`]).
-//! * [`metrics`] — lock-free [`FastCounter`]s for hot-path events plus a
-//!   mutex-guarded [`Registry`] of named counters / summaries / spans.
+//!   the current registry's span aggregates.
 //! * [`hist`] — log-bucketed latency/value [`Histogram`]s: a
 //!   deterministic value type for reports and a lock-free
-//!   [`AtomicHistogram`] twin backing the live `/metrics` exporter.
+//!   [`AtomicHistogram`] twin backing the registry's histogram cells.
 //! * [`trace`] — per-request [`TraceCtx`] (trace id + session id +
 //!   explicit child-span stack) installed thread-locally by `cad-serve`
 //!   and read back by every layer below for event attribution.
-//! * [`events`] — the lock-free bounded flight recorder: a fixed-size
-//!   ring of structured [`EventRecord`]s (span open/close, errors,
+//! * [`events`] — the lock-free bounded flight recorder each registry
+//!   owns: a fixed-size ring of structured [`EventRecord`]s (span open/close, errors,
 //!   fallbacks, evictions) with overwrite-oldest semantics and an
 //!   explicit dropped counter, serving `GET /v1/debug/trace`.
 //! * [`http`] — shared hand-rolled HTTP/1.1 plumbing (request parsing
@@ -64,13 +68,14 @@ pub mod trace;
 
 pub use alloc::{CountingAlloc, MemoryStats};
 pub use clock::{time_it, time_mean};
-pub use events::{recorder, EventKind, EventRecord, RingSnapshot, RING_CAPACITY};
+pub use events::{EventKind, EventRecord, FlightRecorder, RingSnapshot, RING_CAPACITY};
 pub use export::{render_prometheus, MetricsServer, WatchHealth};
-pub use hist::{histograms, AtomicHistogram, Histogram};
+pub use hist::{AtomicHistogram, Histogram};
 pub use json::{parse as parse_json, Json};
 pub use metrics::{
-    counters, gauges, global, labeled, FastCounter, Gauge, LabeledCounters, MetricsSnapshot,
-    Registry, SpanStat,
+    count, count_labeled, counters, current, gauge_add, observe, observe_labeled, with_current,
+    Counter, Entered, FamilySnapshot, Gauge, Hist, LabeledCounter, LabeledHist, MetricsSnapshot,
+    Registry, RegistryHandle, SpanStat,
 };
 pub use progress::{set_verbosity, verbosity, Verbosity};
 pub use report::{
@@ -80,22 +85,3 @@ pub use report::{
 pub use span::SpanGuard;
 pub use stats::{OracleBuildStats, SolveStats, Summary};
 pub use trace::{TraceCtx, TraceGuard, TraceSpan};
-
-/// Reset every process-wide metric sink: the [`global`] registry
-/// (spans, named counters, summaries), all well-known
-/// [`counters`](metrics::counters), [`gauges`](metrics::gauges) and
-/// labeled families, all well-known [`histograms`](hist::histograms)
-/// (labeled included), and the flight-recorder ring.
-///
-/// Intended for single-process CLI runs that execute several cases
-/// back-to-back, and for integration tests that assert on global
-/// metrics (serialize such tests and call this between cases so
-/// metrics can't bleed across `#[test]` functions sharing a process).
-pub fn reset() {
-    global().reset();
-    counters::reset_all();
-    gauges::reset_all();
-    labeled::reset_all();
-    histograms::reset_all();
-    events::recorder().reset();
-}

@@ -47,14 +47,13 @@ pub const AGGREGATE_TID: u64 = 0;
 /// The `pid` all events share (one process, many tracks).
 pub const PROFILE_PID: u64 = 1;
 
-/// Snapshot the process-wide flight recorder and span registry and
-/// render them as one trace-event JSON document. `limit` bounds the
+/// Snapshot the current registry's flight recorder and span aggregates
+/// and render them as one trace-event JSON document. `limit` bounds the
 /// number of ring records rendered (newest retained).
 pub fn capture(limit: usize) -> Json {
-    render_trace_events(
-        &crate::events::recorder().snapshot(limit),
-        &crate::metrics::global().snapshot(),
-    )
+    crate::metrics::with_current(|r| {
+        render_trace_events(&r.events().snapshot(limit), &r.snapshot())
+    })
 }
 
 /// Render explicit snapshots as a trace-event JSON document:
@@ -220,16 +219,14 @@ mod tests {
     use super::*;
     use crate::events::EventRecord;
     use crate::metrics::SpanStat;
-    use crate::stats::Summary;
 
     fn span_metrics(spans: &[(&str, u64, f64)]) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: BTreeMap::new(),
-            summaries: BTreeMap::<String, Summary>::new(),
             spans: spans
                 .iter()
                 .map(|&(p, calls, total_secs)| (p.to_string(), SpanStat { calls, total_secs }))
                 .collect(),
+            ..Default::default()
         }
     }
 

@@ -30,12 +30,10 @@ use std::collections::BTreeMap;
 /// allocs/frees/bytes plus live heap level and high-water mark) and the
 /// optional per-solve `residual_trace` array (bounded per-iteration
 /// relative residuals, opt-in via the solver's trace cap).
+///
+/// Every producer writes v4 and [`Report::validate_json`] accepts only
+/// v4.
 pub const SCHEMA_VERSION: u64 = 4;
-
-/// Oldest schema version `validate-report` still accepts. Reports
-/// emitted at v1 simply lack the `histograms` section; v1/v2 reports
-/// lack `gauges` and `labels`; v1-v3 reports lack `memory`.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// Host description captured into every report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +95,7 @@ pub struct TransitionReport {
     pub score: Summary,
 }
 
-/// One labeled-counter family in the report (schema v3+): the label key
+/// One labeled-counter family in the report: the label key
 /// plus the per-value cells, e.g. `{label: "reason", values: {"structural": 2}}`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LabelFamily {
@@ -174,15 +172,14 @@ pub struct Report {
     pub counters: BTreeMap<String, u64>,
     /// Named value summaries.
     pub summaries: BTreeMap<String, Summary>,
-    /// Named value distributions (schema v2+; empty for v1 documents).
+    /// Named value distributions.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Point-in-time level metrics (schema v3+; empty for older
-    /// documents). Captured at report-emission time.
+    /// Point-in-time level metrics, captured at report-emission time.
     pub gauges: BTreeMap<String, u64>,
-    /// Labeled counter families (schema v3+; empty for older documents).
+    /// Labeled counter families.
     pub labels: BTreeMap<String, LabelFamily>,
-    /// Counting-allocator totals at emission (schema v4+; zeroed for
-    /// older documents and for binaries without the allocator).
+    /// Counting-allocator totals at emission (zeroed for binaries
+    /// without the allocator).
     pub memory: MemoryReport,
     /// Per-instance oracle-build records.
     pub instances: Vec<InstanceReport>,
@@ -217,19 +214,30 @@ impl Report {
         self.memory = MemoryReport::capture();
     }
 
-    /// Fold a registry snapshot (spans, counters, summaries) into the
-    /// report.
+    /// Fold a registry snapshot into the report: span aggregates into
+    /// `phases` and counters added in; histograms and gauges set. Labeled
+    /// histogram cells with samples flatten to `name{label=value}` rows
+    /// (one per block for `part_block_solve_secs`).
     pub fn absorb_snapshot(&mut self, snap: &MetricsSnapshot) {
         for (k, v) in &snap.spans {
             let stat = self.phases.entry(k.clone()).or_default();
             stat.calls += v.calls;
             stat.total_secs += v.total_secs;
         }
-        for (k, v) in &snap.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for &(name, v) in &snap.counters {
+            *self.counters.entry(name.to_string()).or_insert(0) += v;
         }
-        for (k, v) in &snap.summaries {
-            self.summaries.entry(k.clone()).or_default().merge(v);
+        for (name, h) in &snap.histograms {
+            self.histograms.insert(name.to_string(), h.clone());
+        }
+        for fam in &snap.labeled_histograms {
+            for (value, h) in fam.cells.iter().filter(|(_, h)| h.count > 0) {
+                self.histograms
+                    .insert(format!("{}{{{}={value}}}", fam.name, fam.label), h.clone());
+            }
+        }
+        for &(name, v) in &snap.gauges {
+            self.gauges.insert(name.to_string(), v);
         }
     }
 
@@ -442,14 +450,12 @@ impl Report {
                 summaries.insert(k.clone(), summary_from_json(s)?);
             }
         }
-        // Absent in v1 documents: default to an empty section.
         let mut histograms = BTreeMap::new();
         if let Some(Json::Obj(pairs)) = v.get("histograms") {
             for (k, h) in pairs {
                 histograms.insert(k.clone(), histogram_from_json(h)?);
             }
         }
-        // Absent in v1/v2 documents: default to empty sections.
         let mut gauges = BTreeMap::new();
         if let Some(Json::Obj(pairs)) = v.get("gauges") {
             for (k, n) in pairs {
@@ -462,11 +468,7 @@ impl Report {
                 labels.insert(k.clone(), label_family_from_json(fam)?);
             }
         }
-        // Absent in v1-v3 documents: default to a zeroed section.
-        let memory = match v.get("memory") {
-            Some(m) => memory_from_json(m)?,
-            None => MemoryReport::default(),
-        };
+        let memory = memory_from_json(v.get("memory").expect("validated"))?;
         let instances = v
             .get("instances")
             .and_then(Json::as_arr)
@@ -591,10 +593,10 @@ impl Report {
         let version = v.get("schema_version").and_then(Json::as_u64);
         match version {
             None => need("schema_version", false, "missing or not an integer"),
-            Some(ver) if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&ver) => need(
+            Some(ver) if ver != SCHEMA_VERSION => need(
                 "schema_version",
                 false,
-                &format!("{ver} unsupported (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"),
+                &format!("{ver} unsupported (expected {SCHEMA_VERSION})"),
             ),
             Some(_) => {}
         }
@@ -655,8 +657,6 @@ impl Report {
             matches!(v.get("summaries"), Some(Json::Obj(_))),
             "missing object",
         );
-        // `histograms` is required from v2 on; tolerated if present in
-        // a v1 document (fields are only ever added).
         match v.get("histograms") {
             Some(Json::Obj(pairs)) => {
                 for (k, h) in pairs {
@@ -666,14 +666,8 @@ impl Report {
                 }
             }
             Some(_) => need("histograms", false, "not an object"),
-            None => {
-                if version.is_some_and(|ver| ver >= 2) {
-                    need("histograms", false, "missing object (required from v2)");
-                }
-            }
+            None => need("histograms", false, "missing object"),
         }
-        // `gauges` and `labels` are required from v3 on; tolerated if
-        // present in older documents (fields are only ever added).
         match v.get("gauges") {
             Some(Json::Obj(pairs)) => {
                 for (k, n) in pairs {
@@ -685,11 +679,7 @@ impl Report {
                 }
             }
             Some(_) => need("gauges", false, "not an object"),
-            None => {
-                if version.is_some_and(|ver| ver >= 3) {
-                    need("gauges", false, "missing object (required from v3)");
-                }
-            }
+            None => need("gauges", false, "missing object"),
         }
         match v.get("labels") {
             Some(Json::Obj(pairs)) => {
@@ -700,25 +690,15 @@ impl Report {
                 }
             }
             Some(_) => need("labels", false, "not an object"),
-            None => {
-                if version.is_some_and(|ver| ver >= 3) {
-                    need("labels", false, "missing object (required from v3)");
-                }
-            }
+            None => need("labels", false, "missing object"),
         }
-        // `memory` is required from v4 on; tolerated if present in
-        // older documents (fields are only ever added).
         match v.get("memory") {
             Some(m) => {
                 if let Err(e) = memory_from_json(m) {
                     need("memory", false, &e);
                 }
             }
-            None => {
-                if version.is_some_and(|ver| ver >= 4) {
-                    need("memory", false, "missing object (required from v4)");
-                }
-            }
+            None => need("memory", false, "missing object"),
         }
         match v.get("instances").and_then(Json::as_arr) {
             None => need("instances", false, "missing array"),
@@ -1230,75 +1210,18 @@ mod tests {
         let v = crate::json::parse(&r.to_json_string()).unwrap();
         let errs = Report::validate_json(&v).unwrap_err();
         assert!(errs[0].contains("unsupported"), "{errs:?}");
-    }
 
-    #[test]
-    fn validation_accepts_v1_without_histograms() {
-        // A v1 document has no histograms section and must still pass.
-        let mut r = sample();
-        r.schema_version = 1;
-        let text = r
-            .to_json_string()
-            .replacen("\"histograms\": {", "\"histograms_gone\": {", 1);
-        let v = crate::json::parse(&text).unwrap();
-        assert_eq!(Report::validate_json(&v), Ok(()));
-        let back = Report::from_json(&v).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert!(back.histograms.is_empty());
-
-        // The same document claiming v2 is rejected: histograms are
-        // required from v2 on.
-        let text2 = text.replacen("\"schema_version\": 1", "\"schema_version\": 2", 1);
-        let v2 = crate::json::parse(&text2).unwrap();
-        let errs = Report::validate_json(&v2).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("histograms")), "{errs:?}");
-    }
-
-    #[test]
-    fn validation_accepts_v2_without_gauges_and_labels() {
-        // A v2 document predates the gauges/labels sections and must
-        // still pass; the parser defaults them to empty.
-        let mut r = sample();
-        r.schema_version = 2;
-        let text = r
-            .to_json_string()
-            .replacen("\"gauges\": {", "\"gauges_gone\": {", 1)
-            .replacen("\"labels\": {", "\"labels_gone\": {", 1);
-        let v = crate::json::parse(&text).unwrap();
-        assert_eq!(Report::validate_json(&v), Ok(()));
-        let back = Report::from_json(&v).unwrap();
-        assert!(back.gauges.is_empty());
-        assert!(back.labels.is_empty());
-
-        // The same document claiming v3 is rejected: both sections are
-        // required from v3 on.
-        let text3 = text.replacen("\"schema_version\": 2", "\"schema_version\": 3", 1);
-        let v3 = crate::json::parse(&text3).unwrap();
-        let errs = Report::validate_json(&v3).unwrap_err();
-        assert!(errs.iter().any(|e| e.starts_with("gauges")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.starts_with("labels")), "{errs:?}");
-    }
-
-    #[test]
-    fn validation_accepts_v3_without_memory() {
-        // A v3 document predates the memory section and must still
-        // pass; the parser defaults it to zeros.
+        // A complete v3 document is no longer accepted either: v4 is
+        // the one schema.
         let mut r = sample();
         r.schema_version = 3;
         let text = r
             .to_json_string()
             .replacen("\"memory\": {", "\"memory_gone\": {", 1);
-        let v = crate::json::parse(&text).unwrap();
-        assert_eq!(Report::validate_json(&v), Ok(()));
-        let back = Report::from_json(&v).unwrap();
-        assert_eq!(back.memory, MemoryReport::default());
-
-        // The same document claiming v4 is rejected: the memory
-        // section is required from v4 on.
-        let text4 = text.replacen("\"schema_version\": 3", "\"schema_version\": 4", 1);
-        let v4 = crate::json::parse(&text4).unwrap();
-        let errs = Report::validate_json(&v4).unwrap_err();
-        assert!(errs.iter().any(|e| e.starts_with("memory")), "{errs:?}");
+        let v3 = crate::json::parse(&text).unwrap();
+        let errs = Report::validate_json(&v3).unwrap_err();
+        assert!(errs[0].contains("3 unsupported"), "{errs:?}");
+        assert!(Report::from_json(&v3).is_err());
     }
 
     #[test]
@@ -1516,16 +1439,25 @@ mod tests {
 
     #[test]
     fn absorb_snapshot_merges() {
-        let reg = crate::metrics::Registry::new();
-        reg.add_counter("c", 2);
-        reg.record("s", 1.5);
+        use crate::{Counter, Gauge, Hist, LabeledHist};
+        let reg = crate::Registry::new();
+        reg.count(Counter::Spmv, 2);
+        reg.gauge_add(Gauge::ServeSessionsActive, 3);
+        reg.observe(Hist::CgIterations, 4.0);
+        reg.observe_labeled(LabeledHist::PartBlockSolveSecs, "1", 0.5);
         reg.record_span("a/b", 0.25);
         let mut r = Report::new("t");
         r.absorb_snapshot(&reg.snapshot());
         r.absorb_snapshot(&reg.snapshot());
-        assert_eq!(r.counters["c"], 4);
-        assert_eq!(r.summaries["s"].count, 2);
+        assert_eq!(r.counters["linalg.spmv"], 4);
+        assert_eq!(r.counters.len(), Counter::ALL.len());
         assert_eq!(r.phases["a/b"].calls, 2);
+        assert_eq!(r.gauges["serve.sessions_active"], 3);
+        assert_eq!(r.histograms["cg_iterations"].count, 1);
+        assert_eq!(r.histograms["part_block_solve_secs{block=1}"].count, 1);
+        // Empty labeled cells add no rows.
+        assert!(!r.histograms.contains_key("part_block_solve_secs{block=0}"));
+        assert!(r.labels.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Lightweight nested spans: `span!("phase")` times a scope and feeds
-//! the [`crate::metrics::global`] registry.
+//! the span aggregates of the current [`crate::Registry`].
 //!
 //! Nesting is tracked per thread: a span entered while another is open
 //! on the same thread records under the slash-joined path of its
@@ -69,7 +69,7 @@ impl Drop for SpanGuard {
             }
             path
         });
-        crate::metrics::global().record_span(&path, secs);
+        crate::metrics::with_current(|r| r.record_span(&path, secs));
         if let Some(label) = &self.label {
             crate::progress::debug(&format!("span {path} [{label}] {:.3}ms", secs * 1e3));
         }
@@ -100,12 +100,13 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::global;
+    use crate::Registry;
+    use std::sync::Arc;
 
     #[test]
     fn nesting_builds_slash_paths() {
-        // Runs on one test thread; global registry keys are unique to
-        // this test's span names, so parallel tests cannot interfere.
+        let reg = Arc::new(Registry::new());
+        let _g = reg.enter();
         {
             let _outer = span!("test_span_outer");
             assert_eq!(SpanGuard::current_path(), "test_span_outer");
@@ -114,7 +115,7 @@ mod tests {
                 assert_eq!(SpanGuard::current_path(), "test_span_outer/test_span_inner");
             }
         }
-        let snap = global().snapshot();
+        let snap = reg.snapshot();
         assert_eq!(snap.spans["test_span_outer"].calls, 1);
         assert_eq!(snap.spans["test_span_outer/test_span_inner"].calls, 1);
         assert!(snap.spans["test_span_outer"].total_secs >= 0.0);
@@ -122,20 +123,24 @@ mod tests {
 
     #[test]
     fn repeated_entries_aggregate() {
+        let reg = Arc::new(Registry::new());
+        let _g = reg.enter();
         for _ in 0..3 {
             let _s = span!("test_span_repeat");
         }
-        let snap = global().snapshot();
+        let snap = reg.snapshot();
         assert_eq!(snap.spans["test_span_repeat"].calls, 3);
     }
 
     #[test]
     fn labeled_form_compiles_and_records() {
+        let reg = Arc::new(Registry::new());
+        let _g = reg.enter();
         let t = 7;
         {
             let _s = span!("test_span_labeled", instance = t, row = 2);
         }
-        let snap = global().snapshot();
+        let snap = reg.snapshot();
         assert_eq!(snap.spans["test_span_labeled"].calls, 1);
     }
 

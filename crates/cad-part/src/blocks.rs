@@ -203,8 +203,12 @@ impl ExactBlocks {
                 (m, w)
             };
             let secs = start.elapsed().as_secs_f64();
-            cad_obs::counters::PART_BLOCK_SOLVES.inc();
-            cad_obs::histograms::labeled::PART_BLOCK_SOLVE_SECS.observe(block_label(k), secs);
+            cad_obs::count(cad_obs::Counter::PartBlockSolves, 1);
+            cad_obs::observe_labeled(
+                cad_obs::LabeledHist::PartBlockSolveSecs,
+                block_label(k),
+                secs,
+            );
             cad_obs::events::record(
                 cad_obs::events::EventKind::SpanClose,
                 "part_block_solve",

@@ -8,6 +8,7 @@ use cad_commute::{
     Result, SharedOracle,
 };
 use cad_graph::WeightedGraph;
+use cad_obs::Counter;
 
 /// The partitioned solve state behind a [`PartitionedOracle`].
 #[derive(Debug, Clone)]
@@ -76,12 +77,12 @@ impl PartitionedOracle {
         };
 
         let _span = cad_obs::span!("oracle_build");
-        cad_obs::counters::ORACLE_BUILDS.inc();
+        cad_obs::count(Counter::OracleBuilds, 1);
         let (oracle, secs) = cad_obs::time_it(|| -> Result<PartitionedOracle> {
             let build_start = std::time::Instant::now();
             let part = partition(g, spec)?;
-            cad_obs::counters::PART_BLOCKS.add(part.n_blocks as u64);
-            cad_obs::counters::PART_BOUNDARY_EDGES.add(part.cut_edges as u64);
+            cad_obs::count(Counter::PartBlocks, part.n_blocks as u64);
+            cad_obs::count(Counter::PartBoundaryEdges, part.cut_edges as u64);
             let info = PartitionInfo {
                 blocks: part.n_blocks,
                 boundary_edges: part.cut_edges,
@@ -111,7 +112,7 @@ impl PartitionedOracle {
                 },
             })
         });
-        cad_obs::histograms::ORACLE_BUILD_SECS.observe(secs);
+        cad_obs::observe(cad_obs::Hist::OracleBuildSecs, secs);
         oracle.map(|o| Box::new(o) as SharedOracle)
     }
 
@@ -232,6 +233,19 @@ mod tests {
         }
         edges.push((n_half - 1, n_half, 0.25));
         WeightedGraph::from_edges(2 * n_half, &edges).unwrap()
+    }
+
+    #[test]
+    fn counters_track_layout() {
+        let reg = std::sync::Arc::new(cad_obs::Registry::new());
+        let _metrics = reg.enter();
+        let spec = PartitionSpec {
+            blocks: 2,
+            mode: PartitionMode::Bfs,
+        };
+        let _o = PartitionedOracle::build(&bridged(4), &EngineOptions::Exact, spec, 1).unwrap();
+        assert_eq!(reg.counter(Counter::PartBlocks), 2);
+        assert_eq!(reg.counter(Counter::PartBlockSolves), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Partitioned-oracle serialization — the `cad-store` artifact format
 //! for [`PartitionedOracle`].
 //!
-//! Mirrors `cad_commute::persist` byte-for-byte in spirit: every `f64`
+//! Shares `cad_commute::persist`'s byte codec: every `f64`
 //! is stored as its raw IEEE-754 bit pattern (little-endian), so a
 //! loaded oracle answers queries bit-identically to the instance that
 //! was saved. Layout: `magic "CADPART\0" · version u32 · tag u8 ·
@@ -18,6 +18,7 @@
 
 use crate::blocks::{Block, ExactBlocks, Loc};
 use crate::oracle::{Inner, PartitionedOracle};
+use cad_commute::persist::{put_f64, put_f64s, put_u32s, put_u64, ArtifactReader};
 use cad_commute::{PartitionInfo, Result, SharedOracle};
 use cad_graph::GraphError;
 use cad_linalg::DenseMatrix;
@@ -29,28 +30,6 @@ pub const PART_FORMAT_VERSION: u32 = 1;
 
 const TAG_EXACT: u8 = 1;
 const TAG_EMBEDDING: u8 = 2;
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
-    out.reserve(4 * values.len());
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
-    out.reserve(8 * values.len());
-    for &v in values {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
 
 /// Serialize a [`PartitionedOracle`] (called via
 /// `DistanceOracle::to_store_bytes`).
@@ -97,86 +76,12 @@ pub(crate) fn to_bytes(o: &PartitionedOracle) -> Vec<u8> {
     out
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], GraphError> {
-        if self.buf.len() < n {
-            return Err(invalid(format!(
-                "partitioned artifact truncated: wanted {n} bytes, {} left",
-                self.buf.len()
-            )));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, GraphError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn usize_checked(&mut self, what: &str) -> std::result::Result<usize, GraphError> {
-        let v = self.u64()?;
-        if v > (1 << 32) {
-            return Err(invalid(format!(
-                "partitioned artifact: implausible {what} {v}"
-            )));
-        }
-        Ok(v as usize)
-    }
-
-    fn f64_bits(&mut self) -> std::result::Result<f64, GraphError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8"),
-        )))
-    }
-
-    fn f64s(&mut self, n: usize, what: &str) -> std::result::Result<Vec<f64>, GraphError> {
-        let raw = self
-            .take(n.checked_mul(8).ok_or_else(|| {
-                invalid(format!("partitioned artifact: {what} length overflows"))
-            })?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8"))))
-            .collect())
-    }
-
-    fn u32s(&mut self, n: usize, what: &str) -> std::result::Result<Vec<u32>, GraphError> {
-        let raw = self
-            .take(n.checked_mul(4).ok_or_else(|| {
-                invalid(format!("partitioned artifact: {what} length overflows"))
-            })?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
-            .collect())
-    }
-
-    fn byte(&mut self) -> std::result::Result<u8, GraphError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn finish(&self, what: &str) -> std::result::Result<(), GraphError> {
-        if !self.buf.is_empty() {
-            return Err(invalid(format!(
-                "partitioned artifact: {} trailing bytes after {what}",
-                self.buf.len()
-            )));
-        }
-        Ok(())
-    }
-}
-
 fn invalid(msg: String) -> GraphError {
     GraphError::InvalidInput(msg)
 }
 
 fn matrix(
-    cur: &mut Cursor<'_>,
+    cur: &mut ArtifactReader<'_>,
     rows: usize,
     cols: usize,
     what: &str,
@@ -188,7 +93,7 @@ fn matrix(
     DenseMatrix::from_vec(rows, cols, data).map_err(GraphError::from)
 }
 
-fn decode_exact(cur: &mut Cursor<'_>, n: usize) -> Result<ExactBlocks> {
+fn decode_exact(cur: &mut ArtifactReader<'_>, n: usize) -> Result<ExactBlocks> {
     let comp_of = cur.u32s(n, "component ids")?;
     let n_components = cur.usize_checked("component count")?;
     let mut comp_size = vec![0usize; n_components];
@@ -296,8 +201,8 @@ pub fn decode_oracle(bytes: &[u8]) -> Result<SharedOracle> {
     if bytes.len() < 8 || &bytes[..8] != PART_MAGIC {
         return cad_commute::oracle_from_bytes(bytes);
     }
-    let mut cur = Cursor { buf: &bytes[8..] };
-    let version = u32::from_le_bytes(cur.take(4)?.try_into().expect("4"));
+    let mut cur = ArtifactReader::new(&bytes[8..], "partitioned artifact");
+    let version = cur.u32()?;
     if version != PART_FORMAT_VERSION {
         return Err(invalid(format!(
             "partitioned artifact version {version} unsupported (this build reads {PART_FORMAT_VERSION})"

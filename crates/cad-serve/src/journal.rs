@@ -329,7 +329,7 @@ pub fn recover_all(
         sessions
             .restore(rs, journal)
             .map_err(|e| format!("session {}: restore failed: {e:?}", rec.session_id))?;
-        cad_obs::counters::JOURNAL_RECOVERED_SESSIONS.inc();
+        cad_obs::count(cad_obs::Counter::JournalRecoveredSessions, 1);
         cad_obs::events::record(
             cad_obs::EventKind::Recovery,
             "recovery",

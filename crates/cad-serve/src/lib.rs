@@ -39,10 +39,3 @@ pub use journal::{recover_all, replay, spec_to_json, RecoveredSession};
 pub use router::{graph_error_code, route, Response, RouterCtx, DELTA_CONTENT_TYPE};
 pub use server::{AccessLog, ServeConfig, Server, Shutdown};
 pub use session::{parse_spec, Session, SessionMap, SessionSpec, TokenBucket};
-
-/// Serialize tests that assert on the process-wide metric sinks.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}

@@ -30,7 +30,7 @@ use cad_core::{OnlineStepMetrics, StepOracle, TransitionAnomalies};
 use cad_graph::{GraphError, WeightedGraph};
 use cad_obs::events::EventKind;
 use cad_obs::http::{error_body, Request};
-use cad_obs::Json;
+use cad_obs::{Counter, Hist, Json, LabeledHist};
 use std::sync::Arc;
 
 /// Request attribution the server's access log needs back from the
@@ -323,7 +323,7 @@ fn push_snapshot(req: &Request, session: &Session) -> Response {
     let mut inner = session.lock();
     if let Some(bucket) = inner.bucket.as_mut() {
         if let Err(wait_secs) = bucket.try_take() {
-            cad_obs::counters::SERVE_RATE_LIMITED.inc();
+            cad_obs::count(Counter::ServeRateLimited, 1);
             let mut resp = Response::error(
                 429,
                 "rate_limited",
@@ -459,7 +459,7 @@ fn debug_trace(raw_path: &str) -> Response {
     let limit = query_param(raw_path, "limit")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(256);
-    let snap = cad_obs::recorder().snapshot(limit);
+    let snap = cad_obs::with_current(|r| r.events().snapshot(limit));
     Response::json(
         200,
         Json::obj(vec![
@@ -538,7 +538,7 @@ pub fn route_queued(
     queue_wait: Option<f64>,
     worker: usize,
 ) -> Response {
-    cad_obs::counters::SERVE_REQUESTS.inc();
+    cad_obs::count(Counter::ServeRequests, 1);
     let path = req.path.split('?').next().unwrap_or("");
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let method = req.method.as_str();
@@ -552,7 +552,7 @@ pub fn route_queued(
     let tr = cad_obs::TraceCtx::mint(session_id);
     let _trace = cad_obs::trace::set_current(tr);
     if let Some(wait) = queue_wait {
-        cad_obs::histograms::SERVE_QUEUE_WAIT_SECS.observe(wait);
+        cad_obs::observe(Hist::ServeQueueWaitSecs, wait);
         cad_obs::events::record(EventKind::QueueWait, "queue_wait", wait, worker as u64);
     }
     let endpoint = endpoint_name(&segments, method);
@@ -596,7 +596,7 @@ fn dispatch(
                 },
                 _ => method_not_allowed(method, path),
             });
-            cad_obs::histograms::SERVE_ADMIN_SECS.observe(secs);
+            cad_obs::observe(Hist::ServeAdminSecs, secs);
             resp
         }
         ["metrics"] => {
@@ -610,7 +610,7 @@ fn dispatch(
                 },
                 _ => method_not_allowed(method, path),
             });
-            cad_obs::histograms::SERVE_ADMIN_SECS.observe(secs);
+            cad_obs::observe(Hist::ServeAdminSecs, secs);
             resp
         }
         ["v1", "debug", "trace"] => {
@@ -618,7 +618,7 @@ fn dispatch(
                 "GET" => debug_trace(&req.path),
                 _ => method_not_allowed(method, path),
             });
-            cad_obs::histograms::SERVE_ADMIN_SECS.observe(secs);
+            cad_obs::observe(Hist::ServeAdminSecs, secs);
             resp
         }
         ["v1", "debug", "profile"] => {
@@ -626,7 +626,7 @@ fn dispatch(
                 "GET" => debug_profile(&req.path),
                 _ => method_not_allowed(method, path),
             });
-            cad_obs::histograms::SERVE_ADMIN_SECS.observe(secs);
+            cad_obs::observe(Hist::ServeAdminSecs, secs);
             resp
         }
         ["v1", "shutdown"] => {
@@ -637,13 +637,13 @@ fn dispatch(
                 }
                 _ => method_not_allowed(method, path),
             });
-            cad_obs::histograms::SERVE_ADMIN_SECS.observe(secs);
+            cad_obs::observe(Hist::ServeAdminSecs, secs);
             resp
         }
         ["v1", "sequences"] => match method {
             "POST" => {
                 let (resp, secs) = cad_obs::time_it(|| create_session(req, ctx));
-                cad_obs::histograms::SERVE_CREATE_SECS.observe(secs);
+                cad_obs::observe(Hist::ServeCreateSecs, secs);
                 resp
             }
             _ => method_not_allowed(method, path),
@@ -669,7 +669,7 @@ fn dispatch(
                 }
                 _ => method_not_allowed(method, path),
             });
-            cad_obs::histograms::SERVE_ADMIN_SECS.observe(secs);
+            cad_obs::observe(Hist::ServeAdminSecs, secs);
             resp
         }
         ["v1", "sequences", id, "snapshots"] => {
@@ -686,10 +686,9 @@ fn dispatch(
                         );
                     };
                     let (resp, secs) = cad_obs::time_it(|| push_snapshot(req, &session));
-                    cad_obs::histograms::SERVE_PUSH_SECS.observe(secs);
+                    cad_obs::observe(Hist::ServePushSecs, secs);
                     if let Some(engine) = resp.meta.engine {
-                        cad_obs::histograms::labeled::SERVE_PUSH_SECS_BY_ENGINE
-                            .observe(engine, secs);
+                        cad_obs::observe_labeled(LabeledHist::ServePushSecs, engine, secs);
                     }
                     resp
                 }
@@ -703,6 +702,7 @@ fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cad_obs::Registry;
 
     fn ctx() -> RouterCtx {
         RouterCtx {
@@ -756,8 +756,8 @@ mod tests {
 
     #[test]
     fn create_push_status_delete_lifecycle() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         let resp = route(
             &request(
@@ -796,13 +796,13 @@ mod tests {
         assert_eq!(resp.status, 200);
         let resp = route(&request("GET", &status_path, b""), &ctx);
         assert_eq!(resp.status, 404);
-        assert_eq!(cad_obs::counters::SERVE_REQUESTS.get(), 6);
+        assert_eq!(reg.counter(Counter::ServeRequests), 6);
     }
 
     #[test]
     fn push_reports_update_mode_and_fallbacks() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         let resp = route(
             &request(
@@ -843,14 +843,14 @@ mod tests {
         let v = parse(&resp);
         assert_eq!(v.get("update_mode").and_then(Json::as_str), Some("rebuild"));
         assert_eq!(v.get("fallback").and_then(Json::as_str), Some("structural"));
-        assert_eq!(cad_obs::counters::INCREMENTAL_UPDATES.get(), 1);
-        assert_eq!(cad_obs::counters::REBUILD_FALLBACKS.get(), 1);
+        assert_eq!(reg.counter(Counter::IncrementalUpdates), 1);
+        assert_eq!(reg.counter(Counter::RebuildFallbacks), 1);
     }
 
     #[test]
     fn partitioned_session_reports_layout_on_push() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         let resp = route(
             &request(
@@ -884,8 +884,8 @@ mod tests {
 
     #[test]
     fn node_out_of_range_is_the_structured_error() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         let resp = route(&request("POST", "/v1/sequences", br#"{"nodes": 4}"#), &ctx);
         let id = parse(&resp).get("id").and_then(Json::as_u64).unwrap();
@@ -919,8 +919,8 @@ mod tests {
 
     #[test]
     fn delta_bodies_apply_against_the_previous_snapshot() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         let resp = route(
             &request(
@@ -984,8 +984,8 @@ mod tests {
 
     #[test]
     fn unknown_routes_and_methods_are_404_405() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         assert_eq!(route(&request("GET", "/nope", b""), &ctx).status, 404);
         assert_eq!(
@@ -1009,8 +1009,8 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_trips_the_drain_signal() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         assert!(!ctx.shutdown.is_requested());
         let resp = route(&request("POST", "/v1/shutdown", b""), &ctx);
@@ -1020,8 +1020,8 @@ mod tests {
 
     #[test]
     fn requests_carry_trace_ids_into_the_flight_recorder() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         let resp = route(
             &request(
@@ -1089,8 +1089,8 @@ mod tests {
 
     #[test]
     fn debug_trace_respects_the_limit_parameter() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         for _ in 0..5 {
             route(&request("GET", "/healthz", b""), &ctx);
@@ -1110,8 +1110,8 @@ mod tests {
 
     #[test]
     fn debug_profile_serves_a_chrome_trace_timeline() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx();
         let resp = route(
             &request(
@@ -1178,8 +1178,8 @@ mod tests {
 
     #[test]
     fn rate_limited_pushes_get_429_with_retry_after() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = ctx_with(SessionMap::new(8).with_push_rps(0.25));
         let resp = route(
             &request(
@@ -1213,7 +1213,7 @@ mod tests {
             .map(|(_, v)| v.parse().unwrap())
             .expect("Retry-After header");
         assert!(retry >= 1, "{retry}");
-        assert_eq!(cad_obs::counters::SERVE_RATE_LIMITED.get(), 1);
+        assert_eq!(reg.counter(Counter::ServeRateLimited), 1);
         // The session itself is untouched: no instance was consumed.
         let resp = route(&request("GET", &format!("/v1/sequences/{id}"), b""), &ctx);
         assert_eq!(
@@ -1245,8 +1245,8 @@ mod tests {
 
     #[test]
     fn journaled_session_replays_bit_identically_after_a_kill() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let root = tmp_journal_root("kill");
         let cfg = cad_journal::JournalConfig {
             fsync: cad_journal::FsyncPolicy::Never,
@@ -1278,7 +1278,7 @@ mod tests {
         let sessions = SessionMap::new(8).with_journal(root.clone(), cfg.clone());
         let n = crate::journal::recover_all(&root, &cfg, &sessions, None).unwrap();
         assert_eq!(n, 1);
-        assert_eq!(cad_obs::counters::JOURNAL_RECOVERED_SESSIONS.get(), 1);
+        assert_eq!(reg.counter(Counter::JournalRecoveredSessions), 1);
         let ctx = ctx_with(sessions);
         let resp = route(&request("GET", &format!("/v1/sequences/{id}"), b""), &ctx);
         assert_eq!(
@@ -1309,8 +1309,8 @@ mod tests {
 
     #[test]
     fn compaction_checkpoint_preserves_replay_equality() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let root = tmp_journal_root("compact");
         // Tiny thresholds: every sweep wants to compact.
         let cfg = cad_journal::JournalConfig {
@@ -1336,7 +1336,7 @@ mod tests {
         let before = push_all(&ctx, id, &bodies[..4]);
         assert_eq!(before, control[..4].to_vec());
         assert_eq!(ctx.sessions.compact_journals(), 1);
-        assert_eq!(cad_obs::counters::JOURNAL_COMPACTIONS.get(), 1);
+        assert_eq!(reg.counter(Counter::JournalCompactions), 1);
         drop(ctx);
 
         let sessions = SessionMap::new(8).with_journal(root.clone(), cfg.clone());
@@ -1356,8 +1356,8 @@ mod tests {
 
     #[test]
     fn session_cap_returns_429_with_retry_after() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let ctx = RouterCtx {
             sessions: SessionMap::new(1),
             provider: None,

@@ -24,7 +24,7 @@ use crate::session::SessionMap;
 use cad_core::UpdateMode;
 use cad_journal::JournalConfig;
 use cad_obs::http::{self, error_body, HttpLimits, Request};
-use cad_obs::Json;
+use cad_obs::{Gauge, Json};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -127,7 +127,7 @@ impl ConnQueue {
             return Err(conn);
         }
         state.conns.push_back((conn, Instant::now()));
-        cad_obs::gauges::SERVE_QUEUE_DEPTH.inc();
+        cad_obs::gauge_add(Gauge::ServeQueueDepth, 1);
         self.cv.notify_one();
         Ok(())
     }
@@ -140,7 +140,7 @@ impl ConnQueue {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some((conn, enqueued)) = state.conns.pop_front() {
-                cad_obs::gauges::SERVE_QUEUE_DEPTH.dec();
+                cad_obs::gauge_add(Gauge::ServeQueueDepth, -1);
                 return Some((conn, enqueued.elapsed().as_secs_f64()));
             }
             if !state.open {
@@ -329,13 +329,14 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     sweeper: Option<JoinHandle<()>>,
     recovered_sessions: usize,
+    registry: cad_obs::RegistryHandle,
 }
 
 /// Answer an overflow connection with `503 Retry-After: 1` without ever
 /// reading its request, then drain a bounded amount of whatever it sent
 /// so closing does not RST the response away.
 fn reject_busy(mut conn: TcpStream, write_timeout: Duration) {
-    cad_obs::counters::SERVE_REJECTED_BACKPRESSURE.inc();
+    cad_obs::count(cad_obs::Counter::ServeRejectedBackpressure, 1);
     let _ = conn.set_write_timeout(Some(write_timeout));
     let body = error_body("overloaded", "worker queue is full; retry shortly");
     if http::write_response(
@@ -368,11 +369,11 @@ fn serve_conn(mut conn: TcpStream, shared: &Shared, worker: usize, mut queue_wai
     loop {
         match http::read_request(&mut conn, &shared.limits) {
             Ok(req) => {
-                cad_obs::gauges::SERVE_INFLIGHT_REQUESTS.inc();
+                cad_obs::gauge_add(Gauge::ServeInflightRequests, 1);
                 let wait = queue_wait;
                 queue_wait = 0.0;
                 let resp = route_queued(&req, &shared.ctx, Some(wait), worker);
-                cad_obs::gauges::SERVE_INFLIGHT_REQUESTS.dec();
+                cad_obs::gauge_add(Gauge::ServeInflightRequests, -1);
                 // Draining closes after the in-flight response; so does
                 // any error status, which keeps framing mistakes from
                 // poisoning a reused connection.
@@ -474,12 +475,16 @@ impl Server {
             access_log,
         });
 
+        // Every thread records into the registry current here.
+        let registry = cad_obs::current();
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let registry = registry.clone();
                 std::thread::Builder::new()
                     .name(format!("cad-serve-worker-{i}"))
                     .spawn(move || {
+                        let _metrics = registry.enter();
                         while let Some((conn, queue_wait)) = shared.queue.pop() {
                             serve_conn(conn, &shared, i, queue_wait);
                         }
@@ -492,9 +497,11 @@ impl Server {
             let shared = Arc::clone(&shared);
             let ttl = cfg.session_ttl;
             let interval = cfg.sweep_interval;
+            let registry = registry.clone();
             std::thread::Builder::new()
                 .name("cad-serve-sweeper".to_string())
                 .spawn(move || {
+                    let _metrics = registry.enter();
                     while !shared.ctx.shutdown.wait_timeout(interval) {
                         shared.ctx.sessions.sweep_idle(ttl);
                         shared.ctx.sessions.compact_journals();
@@ -506,9 +513,11 @@ impl Server {
         let accept = {
             let shared = Arc::clone(&shared);
             let write_timeout = cfg.write_timeout;
+            let registry = registry.clone();
             std::thread::Builder::new()
                 .name("cad-serve-accept".to_string())
                 .spawn(move || {
+                    let _metrics = registry.enter();
                     for conn in listener.incoming() {
                         let draining = shared.ctx.shutdown.is_requested();
                         let Ok(conn) = conn else {
@@ -542,6 +551,7 @@ impl Server {
             workers,
             sweeper: Some(sweeper),
             recovered_sessions,
+            registry,
         })
     }
 
@@ -601,7 +611,8 @@ impl Server {
         // Only when the operator opted into logging — tests and quiet
         // embedders keep their stderr clean.
         if self.shared.access_log.is_some() {
-            let _ = cad_obs::recorder().dump(&mut std::io::stderr().lock());
+            let _metrics = self.registry.enter();
+            let _ = cad_obs::with_current(|r| r.events().dump(&mut std::io::stderr().lock()));
         }
     }
 }
@@ -609,6 +620,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cad_obs::Registry;
     use std::io::{BufRead, BufReader, Write};
 
     fn test_config() -> ServeConfig {
@@ -679,8 +691,8 @@ mod tests {
 
     #[test]
     fn end_to_end_session_lifecycle_over_tcp() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let server = Server::start(test_config()).expect("start");
         let addr = server.addr();
 
@@ -730,8 +742,8 @@ mod tests {
 
     #[test]
     fn drain_completes_in_flight_request_and_refuses_new_connections() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let server = Server::start(test_config()).expect("start");
         let addr = server.addr();
 
@@ -831,8 +843,8 @@ mod tests {
 
     #[test]
     fn access_log_and_trace_header_attribute_every_request() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let dir = std::env::temp_dir().join(format!("cad-serve-log-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let log_path = dir.join("access.ndjson");
@@ -909,8 +921,8 @@ mod tests {
 
     #[test]
     fn ttl_sweeper_evicts_idle_sessions() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let server = Server::start(ServeConfig {
             session_ttl: Duration::from_millis(100),
             sweep_interval: Duration::from_millis(25),
@@ -932,7 +944,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(400));
         let (status, _) = call(addr, "GET", &path, b"");
         assert_eq!(status, 404, "idle session must be swept");
-        assert_eq!(cad_obs::gauges::SERVE_SESSIONS_ACTIVE.get(), 0);
+        assert_eq!(reg.gauge(Gauge::ServeSessionsActive), 0);
         server.drain();
     }
 }

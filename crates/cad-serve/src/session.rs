@@ -12,7 +12,7 @@ use cad_commute::{EmbeddingOptions, EngineOptions, OracleProvider, PartitionMode
 use cad_core::{CadOptions, OnlineCad, ScoreKind, ThresholdMode, UpdateMode};
 use cad_graph::WeightedGraph;
 use cad_journal::{JournalConfig, RecordKind, SessionJournal};
-use cad_obs::Json;
+use cad_obs::{Gauge, Json};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -421,7 +421,7 @@ impl SessionMap {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .insert(id, Arc::clone(&session));
-        cad_obs::gauges::SERVE_SESSIONS_ACTIVE.inc();
+        cad_obs::gauge_add(Gauge::ServeSessionsActive, 1);
         Ok(session)
     }
 
@@ -459,7 +459,7 @@ impl SessionMap {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .insert(rs.id, Arc::clone(&session));
-        cad_obs::gauges::SERVE_SESSIONS_ACTIVE.inc();
+        cad_obs::gauge_add(Gauge::ServeSessionsActive, 1);
         Ok(session)
     }
 
@@ -485,7 +485,7 @@ impl SessionMap {
             .remove(&id);
         if let Some(session) = &removed {
             self.active.fetch_sub(1, Ordering::Relaxed);
-            cad_obs::gauges::SERVE_SESSIONS_ACTIVE.dec();
+            cad_obs::gauge_add(Gauge::ServeSessionsActive, -1);
             let mut inner = session.inner.lock().unwrap_or_else(|p| p.into_inner());
             if let Some(mut journal) = inner.journal.take() {
                 // Best-effort: the delete record makes the tombstone
@@ -574,6 +574,7 @@ impl SessionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cad_obs::Registry;
 
     #[test]
     fn parse_spec_accepts_the_documented_shapes() {
@@ -684,8 +685,8 @@ mod tests {
 
     #[test]
     fn create_applies_server_default_unless_spec_overrides() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let map = SessionMap::new(4).with_update_mode(UpdateMode::Incremental);
         let inherited = map
             .create(parse_spec(br#"{"nodes": 4}"#).unwrap(), None)
@@ -705,22 +706,22 @@ mod tests {
 
     #[test]
     fn map_caps_sessions_and_counts_active() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let map = SessionMap::new(2);
         let spec = || parse_spec(br#"{"nodes": 4}"#).unwrap();
         let a = map.create(spec(), None).unwrap();
         let b = map.create(spec(), None).unwrap();
         assert_ne!(a.id, b.id);
         assert_eq!(map.len(), 2);
-        assert_eq!(cad_obs::gauges::SERVE_SESSIONS_ACTIVE.get(), 2);
+        assert_eq!(reg.gauge(Gauge::ServeSessionsActive), 2);
         assert!(matches!(
             map.create(spec(), None).map(|_| ()),
             Err(CreateError::Full { max_sessions: 2 })
         ));
         assert!(map.remove(a.id).is_some());
         assert!(map.remove(a.id).is_none(), "double delete is a miss");
-        assert_eq!(cad_obs::gauges::SERVE_SESSIONS_ACTIVE.get(), 1);
+        assert_eq!(reg.gauge(Gauge::ServeSessionsActive), 1);
         map.create(spec(), None).expect("capacity freed");
         assert!(map.get(b.id).is_some());
         assert!(map.get(a.id).is_none());
@@ -728,8 +729,8 @@ mod tests {
 
     #[test]
     fn sweep_evicts_only_idle_sessions() {
-        let _g = crate::test_lock();
-        cad_obs::reset();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let map = SessionMap::new(8);
         let spec = || parse_spec(br#"{"nodes": 4}"#).unwrap();
         let old = map.create(spec(), None).unwrap();
@@ -740,6 +741,6 @@ mod tests {
         assert_eq!(evicted, 1);
         assert!(map.get(old.id).is_none());
         assert!(map.get(fresh.id).is_some());
-        assert_eq!(cad_obs::gauges::SERVE_SESSIONS_ACTIVE.get(), 1);
+        assert_eq!(reg.gauge(Gauge::ServeSessionsActive), 1);
     }
 }

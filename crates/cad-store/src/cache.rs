@@ -32,6 +32,7 @@ use cad_commute::{
     SharedOracle,
 };
 use cad_graph::WeightedGraph;
+use cad_obs::{Counter, Hist};
 use std::path::{Path, PathBuf};
 
 fn solver_fp(s: &cad_linalg::solve::LaplacianSolverOptions) -> String {
@@ -164,9 +165,9 @@ impl OracleStore {
             return None;
         }
         let (bytes, secs) = cad_obs::time_it(|| std::fs::read(&path));
-        cad_obs::histograms::PACK_IO_SECS.observe(secs);
+        cad_obs::observe(Hist::PackIoSecs, secs);
         let bytes = bytes.ok()?;
-        cad_obs::counters::STORE_BYTES_READ.add(bytes.len() as u64);
+        cad_obs::count(Counter::StoreBytesRead, bytes.len() as u64);
         if bytes.len() < 4 {
             return None;
         }
@@ -192,7 +193,7 @@ impl OracleStore {
         let (res, secs) = cad_obs::time_it(|| {
             std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &final_path))
         });
-        cad_obs::histograms::PACK_IO_SECS.observe(secs);
+        cad_obs::observe(Hist::PackIoSecs, secs);
         res.map_err(StoreError::Io)
     }
 
@@ -206,11 +207,11 @@ impl OracleStore {
         let key = cache_key(g, opts);
         if let Some(oracle) = self.load_artifact(&key) {
             if oracle.n_nodes() == g.n_nodes() {
-                cad_obs::counters::STORE_CACHE_HITS.inc();
+                cad_obs::count(Counter::StoreCacheHits, 1);
                 return Ok(oracle);
             }
         }
-        cad_obs::counters::STORE_CACHE_MISSES.inc();
+        cad_obs::count(Counter::StoreCacheMisses, 1);
         let oracle = CommuteTimeEngine::compute(g, opts)?;
         // Persisting is best-effort: a full disk must not fail the
         // detection run that just succeeded in memory.
@@ -231,11 +232,11 @@ impl OracleStore {
         let key = cache_key_partitioned(g, opts, spec);
         if let Some(oracle) = self.load_artifact_with(&key, cad_part::decode_oracle) {
             if oracle.n_nodes() == g.n_nodes() {
-                cad_obs::counters::STORE_CACHE_HITS.inc();
+                cad_obs::count(Counter::StoreCacheHits, 1);
                 return Ok(oracle);
             }
         }
-        cad_obs::counters::STORE_CACHE_MISSES.inc();
+        cad_obs::count(Counter::StoreCacheMisses, 1);
         let oracle = cad_part::PartitionedOracle::build(g, opts, spec, threads)?;
         let _ = self.store_oracle(&key, oracle.as_ref());
         Ok(oracle)
@@ -328,15 +329,8 @@ impl OracleProvider for OracleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The hit/miss/build counters are process-global; serialize the
-    /// tests that assert on their deltas.
-    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> MutexGuard<'static, ()> {
-        COUNTER_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use cad_obs::Registry;
+    use std::sync::Arc;
 
     fn fresh_store(name: &str) -> OracleStore {
         let dir = std::env::temp_dir()
@@ -352,25 +346,23 @@ mod tests {
 
     #[test]
     fn second_lookup_hits_and_skips_the_build() {
-        let _guard = lock();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let store = fresh_store("hit");
         let g = graph(1.0);
         let opts = EngineOptions::Exact;
 
-        let builds_before = cad_obs::counters::ORACLE_BUILDS.get();
-        let misses_before = cad_obs::counters::STORE_CACHE_MISSES.get();
+        let builds_before = reg.counter(Counter::OracleBuilds);
+        let misses_before = reg.counter(Counter::StoreCacheMisses);
         let first = store.get_or_build(&g, &opts).unwrap();
-        assert_eq!(cad_obs::counters::ORACLE_BUILDS.get(), builds_before + 1);
-        assert_eq!(
-            cad_obs::counters::STORE_CACHE_MISSES.get(),
-            misses_before + 1
-        );
+        assert_eq!(reg.counter(Counter::OracleBuilds), builds_before + 1);
+        assert_eq!(reg.counter(Counter::StoreCacheMisses), misses_before + 1);
 
-        let hits_before = cad_obs::counters::STORE_CACHE_HITS.get();
+        let hits_before = reg.counter(Counter::StoreCacheHits);
         let second = store.get_or_build(&g, &opts).unwrap();
         // The hit bypassed CommuteTimeEngine::compute entirely.
-        assert_eq!(cad_obs::counters::ORACLE_BUILDS.get(), builds_before + 1);
-        assert_eq!(cad_obs::counters::STORE_CACHE_HITS.get(), hits_before + 1);
+        assert_eq!(reg.counter(Counter::OracleBuilds), builds_before + 1);
+        assert_eq!(reg.counter(Counter::StoreCacheHits), hits_before + 1);
         for i in 0..5 {
             for j in 0..5 {
                 assert_eq!(
@@ -439,7 +431,8 @@ mod tests {
 
     #[test]
     fn gc_evicts_oldest_artifacts_first_and_reports_bytes() {
-        let _guard = lock();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let store = fresh_store("gc");
         let opts = EngineOptions::Exact;
         // Three artifacts with strictly increasing mtimes (set
@@ -485,7 +478,8 @@ mod tests {
 
     #[test]
     fn gc_always_removes_stale_tmp_files() {
-        let _guard = lock();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let store = fresh_store("gc-tmp");
         let g = graph(1.0);
         store.get_or_build(&g, &EngineOptions::Exact).unwrap();
@@ -535,7 +529,8 @@ mod tests {
     #[test]
     fn partitioned_lookup_hits_with_bit_identical_queries() {
         use cad_commute::{PartitionMode, PartitionSpec};
-        let _guard = lock();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let store = fresh_store("part-hit");
         let g = graph(1.0);
         let opts = EngineOptions::Exact;
@@ -544,17 +539,14 @@ mod tests {
             mode: PartitionMode::Bfs,
         };
 
-        let misses_before = cad_obs::counters::STORE_CACHE_MISSES.get();
+        let misses_before = reg.counter(Counter::StoreCacheMisses);
         let first = store.get_or_build_partitioned(&g, &opts, spec, 1).unwrap();
-        assert_eq!(
-            cad_obs::counters::STORE_CACHE_MISSES.get(),
-            misses_before + 1
-        );
+        assert_eq!(reg.counter(Counter::StoreCacheMisses), misses_before + 1);
         assert_eq!(first.partition_info().map(|i| i.blocks), Some(2));
 
-        let hits_before = cad_obs::counters::STORE_CACHE_HITS.get();
+        let hits_before = reg.counter(Counter::StoreCacheHits);
         let second = store.get_or_build_partitioned(&g, &opts, spec, 1).unwrap();
-        assert_eq!(cad_obs::counters::STORE_CACHE_HITS.get(), hits_before + 1);
+        assert_eq!(reg.counter(Counter::StoreCacheHits), hits_before + 1);
         assert_eq!(second.partition_info(), first.partition_info());
         for i in 0..5 {
             for j in 0..5 {
@@ -570,7 +562,8 @@ mod tests {
 
     #[test]
     fn corrupted_artifact_falls_back_to_rebuild() {
-        let _guard = lock();
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
         let store = fresh_store("corrupt");
         let g = graph(1.0);
         let opts = EngineOptions::Exact;
@@ -583,17 +576,17 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        let misses_before = cad_obs::counters::STORE_CACHE_MISSES.get();
+        let misses_before = reg.counter(Counter::StoreCacheMisses);
         let rebuilt = store.get_or_build(&g, &opts).unwrap();
         assert_eq!(
-            cad_obs::counters::STORE_CACHE_MISSES.get(),
+            reg.counter(Counter::StoreCacheMisses),
             misses_before + 1,
             "damaged artifact must read as a miss"
         );
         assert_eq!(rebuilt.n_nodes(), 5);
         // The rebuild repaired the artifact in place.
-        let hits_before = cad_obs::counters::STORE_CACHE_HITS.get();
+        let hits_before = reg.counter(Counter::StoreCacheHits);
         store.get_or_build(&g, &opts).unwrap();
-        assert_eq!(cad_obs::counters::STORE_CACHE_HITS.get(), hits_before + 1);
+        assert_eq!(reg.counter(Counter::StoreCacheHits), hits_before + 1);
     }
 }

@@ -499,9 +499,9 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<PackInfo> {
 
 fn read_instrumented(path: &Path) -> Result<Vec<u8>> {
     let (bytes, secs) = cad_obs::time_it(|| std::fs::read(path));
-    cad_obs::histograms::PACK_IO_SECS.observe(secs);
+    cad_obs::observe(cad_obs::Hist::PackIoSecs, secs);
     let bytes = bytes?;
-    cad_obs::counters::STORE_BYTES_READ.add(bytes.len() as u64);
+    cad_obs::count(cad_obs::Counter::StoreBytesRead, bytes.len() as u64);
     Ok(bytes)
 }
 
@@ -509,7 +509,7 @@ fn read_instrumented(path: &Path) -> Result<Vec<u8>> {
 pub fn write_pack(path: &Path, seq: &GraphSequence, label: &str) -> Result<u64> {
     let bytes = encode_pack(seq, label);
     let (res, secs) = cad_obs::time_it(|| std::fs::write(path, &bytes));
-    cad_obs::histograms::PACK_IO_SECS.observe(secs);
+    cad_obs::observe(cad_obs::Hist::PackIoSecs, secs);
     res?;
     Ok(bytes.len() as u64)
 }

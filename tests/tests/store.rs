@@ -11,26 +11,28 @@
 //! * a cache keyed on a different engine or different snapshot never
 //!   hits.
 //!
-//! The cache tests read the process-wide counter sinks, so they
-//! serialize on [`GLOBAL_SINKS`] and call [`cad_obs::reset`] at entry
-//! (the pattern set by `telemetry.rs`).
+//! The cache tests run each detection under a private
+//! [`cad_obs::Registry`] ([`metered`]) and read its counters, so no
+//! other test's oracle builds can show up in their counts (the pattern
+//! set by `telemetry.rs`).
 
 use cad_commute::{EmbeddingOptions, EngineOptions};
 use cad_core::{CadDetector, CadOptions};
 use cad_graph::{GraphSequence, WeightedGraph};
+use cad_obs::{Counter, Registry};
 use cad_store::OracleStore;
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Serializes every test that asserts on the process-wide metric sinks.
-static GLOBAL_SINKS: Mutex<()> = Mutex::new(());
-
-fn counter(name: &str) -> u64 {
-    cad_obs::counters::snapshot()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| v)
-        .unwrap_or(0)
+/// Run `f` under a fresh private registry; return its result and the
+/// registry it recorded into.
+fn metered<R>(f: impl FnOnce() -> R) -> (R, Arc<Registry>) {
+    let reg = Arc::new(Registry::new());
+    let out = {
+        let _metrics = reg.enter();
+        f()
+    };
+    (out, reg)
 }
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -98,10 +100,6 @@ proptest! {
     /// threads.
     #[test]
     fn pack_load_score_is_bit_identical_for_every_engine(seq in sequence_strategy()) {
-        // Builds oracles, which bumps `commute.oracle_builds` under the
-        // cache tests' feet unless it holds the same guard.
-        let _guard = GLOBAL_SINKS.lock().unwrap();
-        cad_obs::reset();
         let dir = std::env::temp_dir().join("cad-store-itests");
         std::fs::create_dir_all(&dir).expect("mk temp dir");
         let path = dir.join(format!("prop-{}.cadpack", std::process::id()));
@@ -167,33 +165,30 @@ fn bridge_sequence() -> GraphSequence {
 /// result is bit-identical to the cold run.
 #[test]
 fn warm_cache_detect_builds_zero_oracles() {
-    let _guard = GLOBAL_SINKS.lock().unwrap();
     let seq = bridge_sequence();
     let store: Arc<dyn cad_commute::OracleProvider> =
         Arc::new(OracleStore::open(temp_dir("warm")).unwrap());
     let det = CadDetector::new(CadOptions::default()).with_provider(store);
 
-    cad_obs::reset();
-    let cold = det.detect(&seq, 0.4).unwrap();
+    let (cold, reg) = metered(|| det.detect(&seq, 0.4).unwrap());
     assert_eq!(
-        counter("commute.oracle_builds"),
+        reg.counter(Counter::OracleBuilds),
         seq.len() as u64,
         "cold run builds one oracle per instance"
     );
-    assert_eq!(counter("store.cache_misses"), seq.len() as u64);
-    assert_eq!(counter("store.cache_hits"), 0);
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), seq.len() as u64);
+    assert_eq!(reg.counter(Counter::StoreCacheHits), 0);
 
-    cad_obs::reset();
-    let warm = det.detect(&seq, 0.4).unwrap();
+    let (warm, reg) = metered(|| det.detect(&seq, 0.4).unwrap());
     assert_eq!(
-        counter("commute.oracle_builds"),
+        reg.counter(Counter::OracleBuilds),
         0,
         "warm run must not build any oracle"
     );
-    assert_eq!(counter("store.cache_hits"), seq.len() as u64);
-    assert_eq!(counter("store.cache_misses"), 0);
+    assert_eq!(reg.counter(Counter::StoreCacheHits), seq.len() as u64);
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), 0);
     assert!(
-        counter("store.bytes_read") > 0,
+        reg.counter(Counter::StoreBytesRead) > 0,
         "warm run reads artifacts from disk"
     );
 
@@ -215,49 +210,44 @@ fn warm_cache_detect_builds_zero_oracles() {
 /// artifacts, and re-running one layout hits every artifact it wrote.
 #[test]
 fn cache_keys_separate_partition_layouts() {
-    let _guard = GLOBAL_SINKS.lock().unwrap();
     let seq = bridge_sequence();
     let store: Arc<dyn cad_commute::OracleProvider> =
         Arc::new(OracleStore::open(temp_dir("part-keys")).unwrap());
 
     // Monolithic exact populates the unpartitioned namespace.
-    cad_obs::reset();
     let mono = CadDetector::new(CadOptions {
         engine: EngineOptions::Exact,
         ..Default::default()
     })
     .with_provider(Arc::clone(&store));
-    mono.detect(&seq, 0.4).unwrap();
-    assert_eq!(counter("store.cache_misses"), seq.len() as u64);
+    let (_, reg) = metered(|| mono.detect(&seq, 0.4).unwrap());
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), seq.len() as u64);
 
     // Same engine, same snapshots, but a partition layout: all misses.
     let two_blocks = cad_commute::PartitionSpec {
         blocks: 2,
         mode: cad_commute::PartitionMode::Bfs,
     };
-    cad_obs::reset();
     let part = CadDetector::new(CadOptions {
         engine: EngineOptions::Exact,
         partition: Some(two_blocks),
         ..Default::default()
     })
     .with_provider(Arc::clone(&store));
-    part.detect(&seq, 0.4).unwrap();
+    let (_, reg) = metered(|| part.detect(&seq, 0.4).unwrap());
     assert_eq!(
-        counter("store.cache_hits"),
+        reg.counter(Counter::StoreCacheHits),
         0,
         "partition layout is part of the key"
     );
-    assert_eq!(counter("store.cache_misses"), seq.len() as u64);
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), seq.len() as u64);
 
     // The same layout again: every artifact hits.
-    cad_obs::reset();
-    part.detect(&seq, 0.4).unwrap();
-    assert_eq!(counter("store.cache_hits"), seq.len() as u64);
-    assert_eq!(counter("store.cache_misses"), 0);
+    let (_, reg) = metered(|| part.detect(&seq, 0.4).unwrap());
+    assert_eq!(reg.counter(Counter::StoreCacheHits), seq.len() as u64);
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), 0);
 
     // A different block count is a different layout: all misses again.
-    cad_obs::reset();
     let three_blocks = CadDetector::new(CadOptions {
         engine: EngineOptions::Exact,
         partition: Some(cad_commute::PartitionSpec {
@@ -267,54 +257,54 @@ fn cache_keys_separate_partition_layouts() {
         ..Default::default()
     })
     .with_provider(Arc::clone(&store));
-    three_blocks.detect(&seq, 0.4).unwrap();
+    let (_, reg) = metered(|| three_blocks.detect(&seq, 0.4).unwrap());
     assert_eq!(
-        counter("store.cache_hits"),
+        reg.counter(Counter::StoreCacheHits),
         0,
         "block count is part of the key"
     );
-    assert_eq!(counter("store.cache_misses"), seq.len() as u64);
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), seq.len() as u64);
 }
 
 /// A cache populated by one engine never serves another engine's
 /// request, and a perturbed snapshot never hits a stale artifact.
 #[test]
 fn cache_keys_separate_engines_and_snapshots() {
-    let _guard = GLOBAL_SINKS.lock().unwrap();
     let seq = bridge_sequence();
     let store: Arc<dyn cad_commute::OracleProvider> =
         Arc::new(OracleStore::open(temp_dir("keys")).unwrap());
 
-    cad_obs::reset();
     let exact = CadDetector::new(CadOptions {
         engine: EngineOptions::Exact,
         ..Default::default()
     })
     .with_provider(Arc::clone(&store));
-    exact.detect(&seq, 0.4).unwrap();
-    assert_eq!(counter("store.cache_misses"), seq.len() as u64);
+    let (_, reg) = metered(|| exact.detect(&seq, 0.4).unwrap());
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), seq.len() as u64);
 
     // Different engine, same snapshots: all misses.
-    cad_obs::reset();
     let corrected = CadDetector::new(CadOptions {
         engine: EngineOptions::Corrected,
         ..Default::default()
     })
     .with_provider(Arc::clone(&store));
-    corrected.detect(&seq, 0.4).unwrap();
-    assert_eq!(counter("store.cache_hits"), 0, "engine is part of the key");
-    assert_eq!(counter("store.cache_misses"), seq.len() as u64);
+    let (_, reg) = metered(|| corrected.detect(&seq, 0.4).unwrap());
+    assert_eq!(
+        reg.counter(Counter::StoreCacheHits),
+        0,
+        "engine is part of the key"
+    );
+    assert_eq!(reg.counter(Counter::StoreCacheMisses), seq.len() as u64);
 
     // Same engine, one perturbed snapshot: exactly the unchanged
     // instances hit.
-    cad_obs::reset();
     let mut graphs: Vec<WeightedGraph> = (0..seq.len()).map(|t| seq.graph(t).clone()).collect();
     graphs[2] = instance(1.5000001, 3.02);
     let perturbed = GraphSequence::new(graphs).unwrap();
-    exact.detect(&perturbed, 0.4).unwrap();
-    assert_eq!(counter("store.cache_hits"), 3);
+    let (_, reg) = metered(|| exact.detect(&perturbed, 0.4).unwrap());
+    assert_eq!(reg.counter(Counter::StoreCacheHits), 3);
     assert_eq!(
-        counter("store.cache_misses"),
+        reg.counter(Counter::StoreCacheMisses),
         1,
         "only the perturbed snapshot rebuilds"
     );

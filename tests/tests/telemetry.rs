@@ -6,21 +6,19 @@
 //! once, and the embedded `/metrics` endpoint serves valid Prometheus
 //! text for a real run.
 //!
-//! The watch and exporter tests read the process-wide counter and
-//! histogram sinks, so they serialize on [`GLOBAL_SINKS`] and call
-//! [`cad_obs::reset`] at entry — the pattern every integration test
-//! touching live telemetry must follow.
+//! Every test that reads live telemetry builds its own
+//! [`cad_obs::Registry`] (or flight recorder), runs the code under test
+//! with it current and asserts on it — the pattern every integration
+//! test touching live telemetry follows. Nothing is shared between
+//! tests, so they need no locks.
 
 use cad_cli::watch::watch_loop;
 use cad_core::{CadDetector, CadOptions, OnlineCad, ThresholdMode};
 use cad_graph::{GraphSequence, WeightedGraph};
-use cad_obs::Histogram;
+use cad_obs::{Counter, FlightRecorder, Histogram, Registry};
 use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::sync::Mutex;
-
-/// Serializes every test that asserts on the process-wide metric sinks.
-static GLOBAL_SINKS: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -80,9 +78,7 @@ proptest! {
     fn flight_recorder_wraparound_never_loses_the_dropped_count(
         n in 1usize..3 * cad_obs::RING_CAPACITY,
     ) {
-        let _guard = GLOBAL_SINKS.lock().unwrap();
-        cad_obs::reset();
-        let rec = cad_obs::recorder();
+        let rec = FlightRecorder::new();
         for i in 0..n {
             rec.record_for(
                 cad_obs::TraceCtx { trace_id: i as u64 + 1, session_id: 0 },
@@ -116,9 +112,7 @@ proptest! {
         n in 1usize..2048,
         limit in 0usize..64,
     ) {
-        let _guard = GLOBAL_SINKS.lock().unwrap();
-        cad_obs::reset();
-        let rec = cad_obs::recorder();
+        let rec = FlightRecorder::new();
         for i in 0..n {
             rec.record_for(
                 cad_obs::TraceCtx { trace_id: 7, session_id: 1 },
@@ -143,11 +137,9 @@ proptest! {
 /// each event's payload fields still agree with each other.
 #[test]
 fn flight_recorder_survives_concurrent_writers() {
-    let _guard = GLOBAL_SINKS.lock().unwrap();
-    cad_obs::reset();
     const WRITERS: u64 = 4;
     const PER_WRITER: u64 = 1500;
-    let rec = cad_obs::recorder();
+    let rec = &FlightRecorder::new();
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             scope.spawn(move || {
@@ -212,8 +204,8 @@ fn instance(bridge: f64) -> WeightedGraph {
 
 #[test]
 fn watch_matches_batch_and_builds_each_oracle_once() {
-    let _guard = GLOBAL_SINKS.lock().unwrap();
-    cad_obs::reset();
+    let reg = Arc::new(Registry::new());
+    let metrics = reg.enter();
 
     let stream = [0.0, 0.0, 1.5, 1.5, 0.0];
     let graphs: Vec<WeightedGraph> = stream.iter().map(|&b| instance(b)).collect();
@@ -228,12 +220,9 @@ fn watch_matches_batch_and_builds_each_oracle_once() {
     }
     // The sliding oracle cache: one build per arriving instance, never a
     // rebuild of the cached left operand.
-    let (_, builds) = cad_obs::counters::snapshot()
-        .into_iter()
-        .find(|(name, _)| *name == "commute.oracle_builds")
-        .expect("well-known counter");
+    drop(metrics);
     assert_eq!(
-        builds,
+        reg.counter(Counter::OracleBuilds),
         graphs.len() as u64,
         "each arriving instance must build exactly one oracle"
     );
@@ -267,12 +256,12 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 
 #[test]
 fn metrics_endpoint_serves_prometheus_text_for_a_watch_run() {
-    let _guard = GLOBAL_SINKS.lock().unwrap();
-    cad_obs::reset();
+    // The endpoint serves the registry current when it starts.
+    let reg = Arc::new(Registry::new());
+    let _metrics = reg.enter();
 
-    let health = std::sync::Arc::new(cad_obs::WatchHealth::new());
-    let server =
-        cad_obs::MetricsServer::start("127.0.0.1:0", std::sync::Arc::clone(&health)).unwrap();
+    let health = Arc::new(cad_obs::WatchHealth::new());
+    let server = cad_obs::MetricsServer::start("127.0.0.1:0", Arc::clone(&health)).unwrap();
 
     let graphs = vec![instance(0.0), instance(0.0), instance(1.5)];
     let mut source = graphs.into_iter().map(Ok);
