@@ -1,10 +1,21 @@
 //! Criterion benchmarks behind **Figure 5**: exact vs approximate
 //! commute-time computation, and the approximate engine's cost as a
 //! function of the embedding dimension `k` (the paper's `k_RP`).
+//!
+//! Three more groups time the alternatives to a cold oracle build on
+//! the n = 300 GMM benchmark instance: a warm load from the oracle
+//! store, a block-partitioned build, and an in-place weight-only
+//! delta update.
 
-use cad_commute::{CommuteEmbedding, EmbeddingOptions, ExactCommute};
+use cad_commute::{
+    CommuteEmbedding, CommuteTimeEngine, EdgeDelta, EmbeddingOptions, EngineOptions, ExactCommute,
+    PartitionMode, PartitionSpec,
+};
+use cad_datasets::{GmmBenchmark, GmmBenchmarkOptions};
 use cad_graph::generators::gmm::{sample_gmm, similarity_graph, GmmParams};
 use cad_graph::WeightedGraph;
+use cad_part::PartitionedOracle;
+use cad_store::{cache_key, OracleStore};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -103,11 +114,118 @@ fn bench_query_cost(c: &mut Criterion) {
     grp.finish();
 }
 
+/// Instance 0 of the seed-7 n = 300 GMM benchmark realization.
+fn gmm_instance() -> WeightedGraph {
+    let mut opts = GmmBenchmarkOptions::with_n(300);
+    opts.seed = 7;
+    let bench = GmmBenchmark::generate(&opts).expect("GMM realization");
+    bench.seq.graph(0).clone()
+}
+
+fn backends() -> [(&'static str, EngineOptions); 3] {
+    [
+        ("exact", EngineOptions::Exact),
+        (
+            "embedding_k25",
+            EngineOptions::Approximate(EmbeddingOptions {
+                k: 25,
+                ..Default::default()
+            }),
+        ),
+        ("corrected", EngineOptions::Corrected),
+    ]
+}
+
+fn bench_store_cold_vs_warm(c: &mut Criterion) {
+    let g = gmm_instance();
+    let dir = std::env::temp_dir().join(format!("cad-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = OracleStore::open(&dir).expect("open oracle store");
+    let mut grp = c.benchmark_group("store_cold_vs_warm_n300");
+    grp.sample_size(10);
+    for (label, engine) in &backends() {
+        let artifact = store.artifact_path(&cache_key(&g, engine));
+        // Cold: miss, build, persist.
+        grp.bench_function(format!("{label}/cold_build"), |b| {
+            b.iter(|| {
+                let _ = std::fs::remove_file(&artifact);
+                store.get_or_build(&g, engine).expect("cold")
+            })
+        });
+        // Warm: read, checksum and decode the persisted artifact.
+        grp.bench_function(format!("{label}/warm_load"), |b| {
+            b.iter(|| store.get_or_build(&g, engine).expect("warm"))
+        });
+    }
+    grp.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn bench_partitioned_vs_monolithic(c: &mut Criterion) {
+    let g = gmm_instance();
+    let spec = PartitionSpec {
+        blocks: 4,
+        mode: PartitionMode::Auto,
+    };
+    let mut grp = c.benchmark_group("partitioned_vs_monolithic_n300");
+    grp.sample_size(10);
+    for (label, engine) in &backends()[..2] {
+        grp.bench_function(format!("{label}/monolithic"), |b| {
+            b.iter(|| CommuteTimeEngine::compute(black_box(&g), engine).expect("monolithic"))
+        });
+        grp.bench_function(format!("{label}/partitioned_auto_4"), |b| {
+            b.iter(|| {
+                PartitionedOracle::build(black_box(&g), engine, spec, 1).expect("partitioned")
+            })
+        });
+    }
+    grp.finish();
+}
+
+fn bench_update_vs_rebuild(c: &mut Criterion) {
+    let g = gmm_instance();
+    // Scale every fifth edge weight: the small weight-only delta an
+    // incremental stream sees.
+    let edges: Vec<(usize, usize, f64)> = g
+        .edges()
+        .enumerate()
+        .map(|(i, (u, v, w))| (u, v, if i % 5 == 0 { w * 1.2 } else { w }))
+        .collect();
+    let perturbed = WeightedGraph::from_edges(g.n_nodes(), &edges).expect("perturbed");
+    let delta = EdgeDelta::between(&g, &perturbed);
+    assert!(!delta.structural, "weight-only perturbation");
+    let mut grp = c.benchmark_group("update_vs_rebuild_n300");
+    grp.sample_size(10);
+    for (label, engine) in &backends() {
+        let base = CommuteTimeEngine::compute(&g, engine).expect("base oracle");
+        grp.bench_function(format!("{label}/cold_build"), |b| {
+            b.iter(|| CommuteTimeEngine::compute(black_box(&perturbed), engine).expect("cold"))
+        });
+        // `apply_delta` mutates, so each iteration updates a fresh clone
+        // (an O(n²) copy at most, small next to either side).
+        grp.bench_function(format!("{label}/clone_apply_delta"), |b| {
+            b.iter(|| {
+                let mut oracle = base.clone_box();
+                oracle
+                    .as_updatable()
+                    .expect("updatable backend")
+                    .apply_delta(&delta)
+                    .expect("apply_delta");
+                oracle
+            })
+        });
+    }
+    grp.finish();
+}
+
 criterion_group!(
     benches,
     bench_exact_vs_approx,
     bench_embedding_vs_k,
     bench_embedding_threads,
-    bench_query_cost
+    bench_query_cost,
+    bench_store_cold_vs_warm,
+    bench_partitioned_vs_monolithic,
+    bench_update_vs_rebuild
 );
 criterion_main!(benches);

@@ -32,7 +32,6 @@ USAGE:
   cad store    gc --store-dir <dir> --max-bytes <n>
   cad journal  inspect|compact <journal-dir>
   cad validate-report --input <report.json>
-  cad bench-diff <old.json> <new.json> [--threshold <ratio>] [--update]
 
 The input format is a plain edge list:
   nodes 17
@@ -71,9 +70,6 @@ journal inspect prints every session journal under <journal-dir>
          journal down to a single checkpoint segment — the same
          compaction serve runs in the background, forced now
 validate-report checks a --metrics-json report against the schema
-bench-diff compares two bench reports metric-by-metric and exits 4 when
-         a wall-time metric regresses past --threshold (default 1.3);
-         --update blesses <new.json> as the baseline instead
 profile  runs the wrapped command with tracing active and writes a
          Chrome-trace/Perfetto timeline (trace-event JSON) of its spans
          and flight-recorder events to --out (default trace.json; when
@@ -328,17 +324,6 @@ pub enum Command {
         /// Journal root directory (`serve --journal-dir`).
         dir: String,
     },
-    /// Compare two bench reports and gate on wall-time regressions.
-    BenchDiff {
-        /// Baseline report path.
-        old: String,
-        /// Candidate report path.
-        new: String,
-        /// Regression gate: fail when `new/old` exceeds this ratio.
-        threshold: f64,
-        /// Bless `<new>` as the baseline instead of gating.
-        update: bool,
-    },
     /// Run another command under tracing and write its timeline.
     Profile {
         /// The wrapped command.
@@ -390,7 +375,7 @@ impl Cli {
             });
         }
         // Flags that are bare switches (no value token follows).
-        const SWITCHES: &[&str] = &["trace", "update"];
+        const SWITCHES: &[&str] = &["trace"];
         let mut flags: HashMap<String, String> = HashMap::new();
         let mut positionals: Vec<String> = Vec::new();
         let mut pending: Option<String> = None;
@@ -414,9 +399,9 @@ impl Cli {
         if let Some(key) = pending {
             return Err(format!("flag `--{key}` is missing a value\n\n{USAGE}"));
         }
-        // Only bench-diff (report paths), store (the `gc` action) and
-        // journal (action + directory) take positional operands.
-        if sub != "bench-diff" && sub != "store" && sub != "journal" {
+        // Only store (the `gc` action) and journal (action + directory)
+        // take positional operands.
+        if sub != "store" && sub != "journal" {
             if let Some(p) = positionals.first() {
                 return Err(format!("unexpected argument `{p}`\n\n{USAGE}"));
             }
@@ -577,32 +562,6 @@ impl Cli {
                 let input =
                     get("input").ok_or_else(|| format!("inspect needs --input\n\n{USAGE}"))?;
                 Command::Inspect { input }
-            }
-            "bench-diff" => {
-                if positionals.len() != 2 {
-                    return Err(format!(
-                        "bench-diff needs exactly two report paths, got {}\n\n{USAGE}",
-                        positionals.len()
-                    ));
-                }
-                let threshold = match get("threshold") {
-                    Some(v) => {
-                        let t: f64 = v
-                            .parse()
-                            .map_err(|_| format!("invalid --threshold `{v}`"))?;
-                        if !(t.is_finite() && t >= 1.0) {
-                            return Err(format!("--threshold must be ≥ 1.0, got `{v}`"));
-                        }
-                        t
-                    }
-                    None => 1.3,
-                };
-                Command::BenchDiff {
-                    old: positionals[0].clone(),
-                    new: positionals[1].clone(),
-                    threshold,
-                    update: flags.contains_key("update"),
-                }
             }
             "score" => {
                 let input =
@@ -1221,36 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_diff_positionals() {
-        let cli = parse("bench-diff old.json new.json").unwrap();
-        assert_eq!(
-            cli.command,
-            Command::BenchDiff {
-                old: "old.json".into(),
-                new: "new.json".into(),
-                threshold: 1.3,
-                update: false,
-            }
-        );
-        let cli = parse("bench-diff a.json b.json --threshold 2.0 --update").unwrap();
-        assert!(matches!(
-            cli.command,
-            Command::BenchDiff {
-                threshold, update: true, ..
-            } if threshold == 2.0
-        ));
-        assert!(parse("bench-diff only-one.json")
-            .unwrap_err()
-            .contains("exactly two"));
-        assert!(parse("bench-diff a b c")
-            .unwrap_err()
-            .contains("exactly two"));
-        assert!(parse("bench-diff a b --threshold 0.5")
-            .unwrap_err()
-            .contains("threshold"));
-    }
-
-    #[test]
     fn positionals_rejected_outside_bench_diff() {
         assert!(parse("detect stray --input s.txt")
             .unwrap_err()
@@ -1260,6 +1189,10 @@ mod tests {
     #[test]
     fn errors_are_helpful() {
         assert!(parse("frobnicate").unwrap_err().contains("unknown command"));
+        // The retired report comparator is gone from the command surface.
+        assert!(parse("bench-diff")
+            .unwrap_err()
+            .contains("unknown command `bench-diff`"));
         assert!(parse("detect").unwrap_err().contains("--input"));
         assert!(parse("detect --input")
             .unwrap_err()

@@ -19,9 +19,6 @@ pub enum CliError {
     Graph(cad_graph::GraphError),
     /// Bad user input not caught at flag parsing.
     Usage(String),
-    /// `bench-diff` found a wall-time regression past the threshold
-    /// (exit code 4 so CI can distinguish it from hard failures).
-    BenchRegression(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -30,7 +27,6 @@ impl std::fmt::Display for CliError {
             CliError::Io(e) => write!(f, "{e}"),
             CliError::Graph(e) => write!(f, "{e}"),
             CliError::Usage(m) => write!(f, "{m}"),
-            CliError::BenchRegression(m) => write!(f, "{m}"),
         }
     }
 }
@@ -518,12 +514,6 @@ pub fn dispatch(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
                 }
             }
         }
-        Command::BenchDiff {
-            old,
-            new,
-            threshold,
-            update,
-        } => crate::bench_diff::run_bench_diff(old, new, *threshold, *update, out),
         Command::Profile {
             inner,
             out: trace_out,

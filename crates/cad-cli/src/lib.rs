@@ -13,7 +13,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_diff;
 pub mod cli;
 pub mod commands;
 pub mod watch;
@@ -22,17 +21,11 @@ pub use cli::{Cli, Command};
 
 /// Parse arguments and run; returns the process exit code.
 ///
-/// Exit codes: 0 success, 1 runtime error, 2 flag-parse error, 4 bench
-/// regression past threshold (so CI can soft-fail on slow runners while
-/// hard-failing on real errors).
+/// Exit codes: 0 success, 1 runtime error, 2 flag-parse error.
 pub fn run<I: IntoIterator<Item = String>>(args: I, out: &mut dyn std::io::Write) -> i32 {
     match Cli::parse(args) {
         Ok(cli) => match commands::dispatch(&cli, out) {
             Ok(()) => 0,
-            Err(commands::CliError::BenchRegression(msg)) => {
-                let _ = writeln!(out, "{msg}");
-                4
-            }
             Err(e) => {
                 let _ = writeln!(out, "error: {e}");
                 1

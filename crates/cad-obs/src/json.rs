@@ -6,7 +6,9 @@
 //! needs: objects preserve insertion order so emitted reports are
 //! byte-stable for a given [`Json`] value, numbers are `f64` (with
 //! integral values printed without a fractional part), and the parser is
-//! a straightforward recursive-descent over the full JSON grammar.
+//! a straightforward recursive-descent over the full JSON grammar, with
+//! nesting capped at [`MAX_DEPTH`] so hostile input cannot exhaust the
+//! stack.
 
 use std::fmt::Write as _;
 
@@ -217,11 +219,17 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Each level costs a
+/// few recursive stack frames, so deeper documents are rejected rather
+/// than allowed to overflow a default-sized thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Errors carry a byte offset and description.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -235,6 +243,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -263,8 +273,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -408,6 +432,18 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        // The cap itself still parses.
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_cap).is_ok());
+    }
 
     #[test]
     fn roundtrips_scalars() {

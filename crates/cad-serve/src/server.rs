@@ -741,6 +741,45 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_a_400_and_the_server_stays_up() {
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
+        let server = Server::start(test_config()).expect("start");
+        let addr = server.addr();
+
+        let (status, body) = call(
+            addr,
+            "POST",
+            "/v1/sequences",
+            br#"{"nodes": 4, "engine": "exact", "delta": 0.4}"#,
+        );
+        assert_eq!(status, 201, "{body}");
+        let id = cad_obs::parse_json(&body)
+            .unwrap()
+            .get("id")
+            .and_then(cad_obs::Json::as_u64)
+            .unwrap();
+
+        // Well under the body cap, far past the parser's nesting cap: a
+        // malformed snapshot (400), then a malformed spec (422 as every
+        // unparseable spec is), each answered without killing a worker.
+        let deep = "[".repeat(100_000);
+        let push = format!("/v1/sequences/{id}/snapshots");
+        let (status, body) = call(addr, "POST", &push, deep.as_bytes());
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting"), "{body}");
+        let (status, body) = call(addr, "POST", "/v1/sequences", deep.as_bytes());
+        assert_eq!(status, 422, "{body}");
+        assert!(body.contains("nesting"), "{body}");
+
+        let (status, body) = call(addr, "GET", "/healthz", b"");
+        assert_eq!(status, 200);
+        assert_eq!(body, "ok\n");
+
+        server.drain();
+    }
+
+    #[test]
     fn drain_completes_in_flight_request_and_refuses_new_connections() {
         let reg = Arc::new(Registry::new());
         let _metrics = reg.enter();
