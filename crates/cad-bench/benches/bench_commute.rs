@@ -4,15 +4,18 @@
 //!
 //! Three more groups time the alternatives to a cold oracle build on
 //! the n = 300 GMM benchmark instance: a warm load from the oracle
-//! store, a block-partitioned build, and an in-place weight-only
-//! delta update.
+//! store, a block-partitioned exact build, and an in-place weight-only
+//! delta update. The partitioned comparison adds sparse points: a
+//! 50×50 grid, which has small BFS cuts, and a disconnected random
+//! graph with m = n.
 
 use cad_commute::{
     CommuteEmbedding, CommuteTimeEngine, EdgeDelta, EmbeddingOptions, EngineOptions, ExactCommute,
-    PartitionMode, PartitionSpec,
+    PartitionSpec,
 };
 use cad_datasets::{GmmBenchmark, GmmBenchmarkOptions};
 use cad_graph::generators::gmm::{sample_gmm, similarity_graph, GmmParams};
+use cad_graph::generators::{grid_graph, sparse_random_graph};
 use cad_graph::WeightedGraph;
 use cad_part::PartitionedOracle;
 use cad_store::{cache_key, OracleStore};
@@ -162,23 +165,36 @@ fn bench_store_cold_vs_warm(c: &mut Criterion) {
 }
 
 fn bench_partitioned_vs_monolithic(c: &mut Criterion) {
-    let g = gmm_instance();
-    let spec = PartitionSpec {
-        blocks: 4,
-        mode: PartitionMode::Auto,
+    let exact = EngineOptions::Exact;
+    let monolithic = |g: &WeightedGraph| CommuteTimeEngine::compute(g, &exact).expect("monolithic");
+    let partitioned = |g: &WeightedGraph, blocks| {
+        PartitionedOracle::build(g, &exact, PartitionSpec { blocks }, 1).expect("partitioned")
     };
+
+    let g = gmm_instance();
     let mut grp = c.benchmark_group("partitioned_vs_monolithic_n300");
     grp.sample_size(10);
-    for (label, engine) in &backends()[..2] {
-        grp.bench_function(format!("{label}/monolithic"), |b| {
-            b.iter(|| CommuteTimeEngine::compute(black_box(&g), engine).expect("monolithic"))
-        });
-        grp.bench_function(format!("{label}/partitioned_auto_4"), |b| {
-            b.iter(|| {
-                PartitionedOracle::build(black_box(&g), engine, spec, 1).expect("partitioned")
-            })
+    grp.bench_function("exact/monolithic", |b| b.iter(|| monolithic(black_box(&g))));
+    grp.bench_function("exact/partitioned_4", |b| {
+        b.iter(|| partitioned(black_box(&g), 4))
+    });
+    grp.finish();
+
+    let grid = grid_graph(50, 50, 1.0).expect("grid");
+    let rand1 = sparse_random_graph(1024, 1024, 7).expect("random graph");
+    let mut grp = c.benchmark_group("partitioned_vs_monolithic_sparse");
+    grp.sample_size(3);
+    grp.bench_function("grid_50x50/exact/monolithic", |b| {
+        b.iter(|| monolithic(black_box(&grid)))
+    });
+    for blocks in [4, 16] {
+        grp.bench_function(format!("grid_50x50/exact/partitioned_{blocks}"), |b| {
+            b.iter(|| partitioned(black_box(&grid), blocks))
         });
     }
+    grp.bench_function("rand1_n1024/exact/monolithic", |b| {
+        b.iter(|| monolithic(black_box(&rand1)))
+    });
     grp.finish();
 }
 

@@ -11,7 +11,7 @@ USAGE:
                [--kind cad|adj|com] [--engine auto|exact|approx|corrected]
                [--k <dim>] [--threads <n>] [--trace] [--profile <trace.json>]
                [--metrics-json <report.json>] [--store-dir <dir>]
-               [--partition <blocks> [--partition-mode auto|components|bfs]]
+               [--partition <blocks>]
   cad score    --input <seq.txt> [--kind cad|adj|com] [--top <n>] [--threads <n>]
   cad watch    [--input -|<dir>|<seq.txt>] [--l <n> | --delta <x>]
                [--kind cad|adj|com] [--engine auto|exact|approx|corrected]
@@ -82,13 +82,13 @@ as a schema-versioned machine-readable JSON report; --profile <path>
 additionally writes the Perfetto timeline of the run (detection output
 is bit-identical with or without it).
 
---partition <blocks> splits the graph into blocks and solves each block
-independently (block-partitioned oracle): connected components are
-exact; BFS splits of connected graphs stitch cross-block distances
-through a boundary interface solve and track the monolithic oracle to
-a documented relative tolerance. --partition-mode picks how blocks are
-formed (`auto` uses components when there are enough, else bfs) and
-requires --partition.
+--partition <blocks> splits each graph into about <blocks> blocks along
+a BFS order and solves each block independently (block-partitioned
+exact oracle). A component smaller than one block stays whole and is
+exact; split components stitch cross-block distances through a boundary
+interface solve and track the monolithic oracle to a documented
+relative tolerance. Only the exact engine is partitioned; the others
+build monolithically.
 
 --store-dir <dir> keeps a content-addressed oracle cache in <dir>:
 detect/watch reuse an oracle artifact whenever the (snapshot, engine,
@@ -136,18 +136,6 @@ pub enum EngineArg {
     Approx,
     /// Exact amplified (von Luxburg-corrected) commute distance.
     Corrected,
-}
-
-/// How `--partition` forms blocks (`--partition-mode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionModeArg {
-    /// Components when the graph has enough, BFS otherwise.
-    #[default]
-    Auto,
-    /// One block per connected component (exact).
-    Components,
-    /// Greedy balanced BFS splitter (approximate on connected graphs).
-    Bfs,
 }
 
 /// Oracle lifecycle for streaming detection (`--update-mode`).
@@ -204,8 +192,6 @@ pub enum Command {
         /// Block-partitioned oracle target block count (`--partition`);
         /// monolithic when absent.
         partition: Option<usize>,
-        /// How partition blocks are formed (`--partition-mode`).
-        partition_mode: PartitionModeArg,
     },
     /// Print ranked edge scores.
     Score {
@@ -407,6 +393,26 @@ impl Cli {
             }
         }
 
+        // A misspelt or retired flag is a usage error, never ignored.
+        let known = match sub.as_str() {
+            "detect" => "input l delta kind engine k threads trace metrics-json store-dir profile partition",
+            "watch" => "input l delta kind engine k events metrics-addr max-instances poll-ms hold-ms store-dir update-mode access-log",
+            "serve" => "addr workers max-body max-sessions store-dir update-mode access-log journal-dir journal-fsync max-push-rps",
+            "score" => "input kind top threads",
+            "generate" => "dataset out seed",
+            "pack" => "input out label",
+            "inspect" | "validate-report" => "input",
+            "store" => "store-dir max-bytes",
+            "journal" => "",
+            other => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        };
+        let unknown = flags
+            .keys()
+            .filter(|k| !known.split(' ').any(|f| f == k.as_str()));
+        if let Some(bad) = unknown.min() {
+            return Err(format!("unknown flag `--{bad}` for `{sub}`\n\n{USAGE}"));
+        }
+
         let get = |k: &str| flags.get(k).cloned();
         let parse_threads = |flags: &HashMap<String, String>| -> Result<usize, String> {
             match flags.get("threads") {
@@ -458,36 +464,20 @@ impl Cli {
                 )),
             }
         };
-        let parse_partition =
-            |flags: &HashMap<String, String>| -> Result<(Option<usize>, PartitionModeArg), String> {
-                let blocks = match flags.get("partition") {
-                    Some(v) => {
-                        let b: usize = v
-                            .parse()
-                            .map_err(|_| format!("invalid --partition `{v}`"))?;
-                        if b == 0 {
-                            return Err("--partition must be ≥ 1".into());
-                        }
-                        Some(b)
+        let parse_partition = |flags: &HashMap<String, String>| -> Result<Option<usize>, String> {
+            match flags.get("partition") {
+                Some(v) => {
+                    let b: usize = v
+                        .parse()
+                        .map_err(|_| format!("invalid --partition `{v}`"))?;
+                    if b == 0 {
+                        return Err("--partition must be ≥ 1".into());
                     }
-                    None => None,
-                };
-                let mode = match flags.get("partition-mode").map(String::as_str) {
-                    None => PartitionModeArg::Auto,
-                    Some("auto") => PartitionModeArg::Auto,
-                    Some("components") => PartitionModeArg::Components,
-                    Some("bfs") => PartitionModeArg::Bfs,
-                    Some(other) => {
-                        return Err(format!(
-                            "unknown --partition-mode `{other}` (auto|components|bfs)"
-                        ))
-                    }
-                };
-                if blocks.is_none() && flags.contains_key("partition-mode") {
-                    return Err("--partition-mode requires --partition <blocks>".into());
+                    Ok(Some(b))
                 }
-                Ok((blocks, mode))
-            };
+                None => Ok(None),
+            }
+        };
         let parse_k = |flags: &HashMap<String, String>| -> Result<usize, String> {
             match flags.get("k") {
                 Some(v) => v.parse().map_err(|_| format!("invalid --k `{v}`")),
@@ -500,7 +490,7 @@ impl Cli {
                 let input =
                     get("input").ok_or_else(|| format!("detect needs --input\n\n{USAGE}"))?;
                 let (l, delta) = parse_l_delta(&flags)?;
-                let (partition, partition_mode) = parse_partition(&flags)?;
+                let partition = parse_partition(&flags)?;
                 Command::Detect {
                     input,
                     l,
@@ -514,7 +504,6 @@ impl Cli {
                     store_dir: get("store-dir"),
                     profile: get("profile"),
                     partition,
-                    partition_mode,
                 }
             }
             "watch" => {
@@ -692,7 +681,7 @@ impl Cli {
                     .ok_or_else(|| format!("validate-report needs --input\n\n{USAGE}"))?;
                 Command::ValidateReport { input }
             }
-            other => return Err(format!("unknown command `{other}`\n\n{USAGE}")),
+            _ => unreachable!("unknown commands are rejected with their flags"),
         };
         Ok(Cli { command })
     }
@@ -723,7 +712,6 @@ mod tests {
                 store_dir,
                 profile,
                 partition,
-                partition_mode,
             } => {
                 assert_eq!(input, "seq.txt");
                 assert_eq!(store_dir, None);
@@ -737,7 +725,6 @@ mod tests {
                 assert_eq!(metrics_json, None);
                 assert_eq!(profile, None);
                 assert_eq!(partition, None);
-                assert_eq!(partition_mode, PartitionModeArg::Auto);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -814,44 +801,23 @@ mod tests {
             parse("detect --input s.txt --partition 4").unwrap().command,
             Command::Detect {
                 partition: Some(4),
-                partition_mode: PartitionModeArg::Auto,
                 ..
             }
         ));
-        assert!(matches!(
-            parse("detect --input s.txt --partition 3 --partition-mode components")
-                .unwrap()
-                .command,
-            Command::Detect {
-                partition: Some(3),
-                partition_mode: PartitionModeArg::Components,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse("detect --input s.txt --partition 2 --partition-mode bfs")
-                .unwrap()
-                .command,
-            Command::Detect {
-                partition_mode: PartitionModeArg::Bfs,
-                ..
-            }
-        ));
-        // --partition-mode without --partition is a usage error.
-        assert!(parse("detect --input s.txt --partition-mode bfs")
-            .unwrap_err()
-            .contains("requires --partition"));
         assert!(parse("detect --input s.txt --partition 0")
             .unwrap_err()
             .contains("≥ 1"));
         assert!(parse("detect --input s.txt --partition x")
             .unwrap_err()
             .contains("--partition"));
-        assert!(
-            parse("detect --input s.txt --partition 2 --partition-mode warp")
-                .unwrap_err()
-                .contains("--partition-mode")
-        );
+        // The retired block-forming knob is an unknown flag now.
+        for line in [
+            "detect --input s.txt --partition-mode bfs",
+            "detect --input s.txt --partition 2 --partition-mode components",
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains("unknown flag `--partition-mode`"), "{err}");
+        }
     }
 
     #[test]
@@ -1189,6 +1155,12 @@ mod tests {
     #[test]
     fn errors_are_helpful() {
         assert!(parse("frobnicate").unwrap_err().contains("unknown command"));
+        assert!(parse("frobnicate --input x")
+            .unwrap_err()
+            .contains("unknown command"));
+        assert!(parse("score --input s.txt --engine exact")
+            .unwrap_err()
+            .contains("unknown flag `--engine` for `score`"));
         // The retired report comparator is gone from the command surface.
         assert!(parse("bench-diff")
             .unwrap_err()

@@ -1,9 +1,7 @@
 //! Command implementations for the `cad` binary.
 
-use crate::cli::{
-    Cli, Command, EngineArg, JournalAction, KindArg, PartitionModeArg, UpdateModeArg,
-};
-use cad_commute::{EmbeddingOptions, EngineOptions, PartitionMode, PartitionSpec};
+use crate::cli::{Cli, Command, EngineArg, JournalAction, KindArg, UpdateModeArg};
+use cad_commute::{EmbeddingOptions, EngineOptions, PartitionSpec};
 use cad_core::{CadDetector, CadOptions, ScoreKind, ThresholdMode, ThresholdPolicy, UpdateMode};
 use cad_graph::io::{read_sequence, write_sequence};
 use cad_graph::GraphSequence;
@@ -82,22 +80,6 @@ pub(crate) fn update_mode(mode: UpdateModeArg) -> UpdateMode {
     }
 }
 
-/// Map the parsed `--partition` / `--partition-mode` pair onto the
-/// engine-facing spec (`None` = monolithic oracle).
-pub(crate) fn partition_spec(
-    blocks: Option<usize>,
-    mode: PartitionModeArg,
-) -> Option<PartitionSpec> {
-    blocks.map(|blocks| PartitionSpec {
-        blocks,
-        mode: match mode {
-            PartitionModeArg::Auto => PartitionMode::Auto,
-            PartitionModeArg::Components => PartitionMode::Components,
-            PartitionModeArg::Bfs => PartitionMode::Bfs,
-        },
-    })
-}
-
 pub(crate) fn score_kind(kind: KindArg) -> ScoreKind {
     match kind {
         KindArg::Cad => ScoreKind::Cad,
@@ -149,7 +131,6 @@ pub fn dispatch(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
             store_dir,
             profile,
             partition,
-            partition_mode,
         } => {
             let seq = load_sequence(input)?;
             // Any observability sink opts into per-solve residual
@@ -163,7 +144,7 @@ pub fn dispatch(cli: &Cli, out: &mut dyn Write) -> Result<(), CliError> {
                 engine: engine_options_traced(*engine, *k, residual_cap),
                 kind: score_kind(*kind),
                 threads: *threads,
-                partition: partition_spec(*partition, *partition_mode),
+                partition: partition.map(|blocks| PartitionSpec { blocks }),
             });
             if let Some(store) = open_store(store_dir)? {
                 det = det.with_provider(store);
@@ -760,10 +741,19 @@ mod tests {
         // The toy example's anomalous edges survive partitioning.
         assert!(report.contains("edge 0 8"), "{report}");
         let (code, report) = run_str(&format!(
-            "detect --input {path} --l 6 --engine exact --partition 2 --partition-mode bfs"
+            "detect --input {path} --l 6 --engine exact --partition 2"
         ));
         assert_eq!(code, 0, "{report}");
         assert!(report.contains("edge 0 8"), "{report}");
+        // The retired block-forming knob is a usage error.
+        let (code, report) = run_str(&format!(
+            "detect --input {path} --l 6 --engine exact --partition 2 --partition-mode bfs"
+        ));
+        assert_eq!(code, 2, "{report}");
+        assert!(
+            report.contains("unknown flag `--partition-mode`"),
+            "{report}"
+        );
     }
 
     #[test]

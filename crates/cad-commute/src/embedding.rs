@@ -37,9 +37,10 @@ const PANEL: usize = 8;
 ///
 /// One pass over the edge list: edge `e = (u, v, w)` adds
 /// `q·√w` to `y[u]` and subtracts it from `y[v]`, where
-/// `q = ±1/√k` is the Rademacher sign of `(row, e)`. Every caller that
-/// sketches — the monolithic and the partitioned embedding — builds its
-/// right-hand sides here, so they see the same sign stream and bits.
+/// `q = ±1/√k` is the Rademacher sign of `(row, e)`. The embedding
+/// build and the tests and benches that re-solve its rows all build
+/// their right-hand sides here, so they see the same sign stream and
+/// bits.
 pub fn sketch_rhs_panel<const W: usize>(
     g: &WeightedGraph,
     opts: &EmbeddingOptions,

@@ -3,20 +3,19 @@
 use crate::update::{EdgeDelta, RebuildReason, UpdatableOracle, UpdateOutcome, SM_DEN_TOL};
 use crate::Result;
 use cad_graph::{GraphError, WeightedGraph};
-use cad_linalg::pinv::{laplacian_pinv_cholesky, pinv_edge_update, sym_pinv};
+use cad_linalg::pinv::{laplacian_pinv, pinv_edge_update};
 use cad_linalg::DenseMatrix;
-
-/// Relative eigenvalue cutoff used when falling back to the eigen-based
-/// pseudoinverse on disconnected graphs.
-const PINV_CUTOFF: f64 = 1e-9;
 
 /// Exact commute-time table for one graph instance.
 ///
 /// Internally stores `L⁺` and the graph volume; queries are `O(1)`.
-/// For pairs in *different* connected components the value returned is
-/// `V_G (l⁺_ii + l⁺_jj)` — the natural pseudoinverse extension (the true
-/// commute time is infinite). Construction is `O(n³)`: use
-/// [`crate::embedding::CommuteEmbedding`] beyond a few thousand nodes.
+/// `L⁺` comes from [`laplacian_pinv`]: one dense Cholesky per connected
+/// component, so it is block-diagonal with exact zeros between
+/// components. For pairs in *different* components the value returned
+/// is `V_G (l⁺_ii + l⁺_jj)` — the natural pseudoinverse extension (the
+/// true commute time is infinite). Construction is `O(Σ n_c³)` over
+/// component sizes `n_c`: use [`crate::embedding::CommuteEmbedding`]
+/// beyond a few thousand nodes.
 #[derive(Debug, Clone)]
 pub struct ExactCommute {
     pinv: DenseMatrix,
@@ -26,19 +25,8 @@ pub struct ExactCommute {
 
 impl ExactCommute {
     /// Compute `L⁺` for the graph.
-    ///
-    /// Tries the cheap Cholesky identity (valid on connected graphs)
-    /// first and falls back to the eigendecomposition route when the
-    /// graph is disconnected.
     pub fn compute(g: &WeightedGraph) -> Result<Self> {
-        let (pinv, build_secs) = cad_obs::time_it(|| {
-            let l = g.laplacian_dense();
-            if g.is_connected() {
-                laplacian_pinv_cholesky(&l).or_else(|_| sym_pinv(&l, PINV_CUTOFF))
-            } else {
-                sym_pinv(&l, PINV_CUTOFF)
-            }
-        });
+        let (pinv, build_secs) = cad_obs::time_it(|| laplacian_pinv(&g.laplacian_dense()));
         Ok(ExactCommute {
             pinv: pinv?,
             volume: g.volume(),

@@ -45,7 +45,7 @@ pub use embedding::{sketch_rhs_panel, CommuteEmbedding, EmbeddingOptions};
 pub use engine::{BuildFresh, CommuteTimeEngine, EngineOptions, OracleProvider};
 pub use exact::ExactCommute;
 pub use oracle::{DistanceOracle, OracleKind, SharedOracle};
-pub use partition::{PartitionInfo, PartitionMode, PartitionSpec};
+pub use partition::{PartitionInfo, PartitionSpec};
 pub use persist::{oracle_from_bytes, oracle_to_bytes};
 pub use shortest::ShortestPathTable;
 pub use update::{

@@ -3,80 +3,31 @@
 //! machinery.
 //!
 //! Only *configuration* lives here: [`PartitionSpec`] (what the caller
-//! asked for), [`PartitionMode`] (how blocks are formed) and
-//! [`PartitionInfo`] (what a built partitioned oracle reports back).
-//! The partitioner and the block-solve machinery themselves are in the
-//! `cad-part` crate, which depends on this one — keeping these types
-//! here lets `cad-core`'s options and the [`crate::OracleProvider`]
-//! seam mention partitioning without a dependency cycle.
+//! asked for) and [`PartitionInfo`] (what a built partitioned oracle
+//! reports back). The partitioner and the block-solve machinery
+//! themselves are in the `cad-part` crate, which depends on this one —
+//! keeping these types here lets `cad-core`'s options and the
+//! [`crate::OracleProvider`] seam mention partitioning without a
+//! dependency cycle.
 
-/// How the graph is split into blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PartitionMode {
-    /// Pick [`PartitionMode::Components`] when the graph has at least as
-    /// many connected components as the requested block count, otherwise
-    /// [`PartitionMode::Bfs`].
-    #[default]
-    Auto,
-    /// One block per connected component. No cut edges, so partitioned
-    /// results are *exact*: block solves are independent per-component
-    /// solves with no boundary correction at all.
-    Components,
-    /// Greedy balanced splitter: consecutive chunks of a deterministic
-    /// BFS order (per component), targeting the requested block count.
-    /// Cross-block edges form the reported edge-cut; their endpoints
-    /// become the boundary-vertex interface set.
-    Bfs,
-}
-
-impl PartitionMode {
-    /// Stable lowercase name (CLI/report/fingerprint formatting).
-    pub fn name(self) -> &'static str {
-        match self {
-            PartitionMode::Auto => "auto",
-            PartitionMode::Components => "components",
-            PartitionMode::Bfs => "bfs",
-        }
-    }
-
-    /// Parse the CLI/serve spelling produced by [`PartitionMode::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(PartitionMode::Auto),
-            "components" => Some(PartitionMode::Components),
-            "bfs" => Some(PartitionMode::Bfs),
-            _ => None,
-        }
-    }
-}
-
-/// What the caller asked the partitioner for.
+/// What the caller asked the partitioner for: a target block count for
+/// the BFS splitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartitionSpec {
-    /// Target block count (≥ 1). [`PartitionMode::Components`] ignores
-    /// it beyond validation; [`PartitionMode::Bfs`] splits each
-    /// component into chunks of `⌈n / blocks⌉`, so the realised count
-    /// can differ slightly from the target.
+    /// Target block count (≥ 1). The splitter cuts each component's BFS
+    /// order into chunks of `⌈n / blocks⌉` and keeps a component smaller
+    /// than one chunk whole, so the realised count can differ slightly
+    /// from the target.
     pub blocks: usize,
-    /// How blocks are formed.
-    pub mode: PartitionMode,
 }
 
 impl PartitionSpec {
-    /// A spec targeting `blocks` blocks in [`PartitionMode::Auto`].
-    pub fn auto(blocks: usize) -> Self {
-        PartitionSpec {
-            blocks,
-            mode: PartitionMode::Auto,
-        }
-    }
-
-    /// Stable layout fingerprint for cache keying: the requested mode
-    /// and block count. Two requests with different fingerprints must
-    /// never share a cached artifact (`cad-store` folds this into the
-    /// content address next to the snapshot×engine key).
+    /// Stable layout fingerprint for cache keying: the requested block
+    /// count. Two requests with different fingerprints must never share
+    /// a cached artifact (`cad-store` folds this into the content
+    /// address next to the snapshot×engine key).
     pub fn fingerprint(&self) -> String {
-        format!("part({},{})", self.mode.name(), self.blocks)
+        format!("part({})", self.blocks)
     }
 }
 
@@ -86,7 +37,7 @@ pub struct PartitionInfo {
     /// Realised block count.
     pub blocks: usize,
     /// Number of cut (cross-block) edges. `0` exactly when every block
-    /// is a union of connected components — the exactness guarantee.
+    /// is a whole connected component — the exactness guarantee.
     pub boundary_edges: usize,
 }
 
@@ -95,28 +46,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_names_round_trip() {
-        for mode in [
-            PartitionMode::Auto,
-            PartitionMode::Components,
-            PartitionMode::Bfs,
-        ] {
-            assert_eq!(PartitionMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(PartitionMode::parse("metis"), None);
-    }
-
-    #[test]
     fn fingerprints_separate_layouts() {
-        let a = PartitionSpec::auto(4).fingerprint();
-        let b = PartitionSpec::auto(8).fingerprint();
-        let c = PartitionSpec {
-            blocks: 4,
-            mode: PartitionMode::Bfs,
-        }
-        .fingerprint();
+        let a = PartitionSpec { blocks: 4 }.fingerprint();
+        let b = PartitionSpec { blocks: 8 }.fingerprint();
         assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, PartitionSpec::auto(4).fingerprint());
+        assert_eq!(a, "part(4)");
+        assert_eq!(a, PartitionSpec { blocks: 4 }.fingerprint());
     }
 }

@@ -22,8 +22,9 @@ pub struct CadOptions {
     pub threads: usize,
     /// Block-partitioned oracle builds (`cad-part`): `None` (default)
     /// builds monolithic oracles; `Some(spec)` splits each instance
-    /// into blocks and solves them as independent work units. Results
-    /// stay bit-identical across thread counts, and track the
+    /// into blocks and solves them as independent work units when the
+    /// engine resolves to exact (other engines build monolithically).
+    /// Results stay bit-identical across thread counts, and track the
     /// monolithic detector within `cad_part::PART_REL_TOL` (exactly,
     /// when blocks are connected components).
     pub partition: Option<cad_commute::PartitionSpec>,

@@ -16,7 +16,8 @@
 //!
 //! which is itself a weighted Laplacian on `S` (Kron reduction), so its
 //! pseudoinverse `S_c⁺` plays the same role globally that `L⁺` plays
-//! monolithically. For any right-hand side `b` that is mean-zero per
+//! monolithically; `cad_linalg::pinv::laplacian_pinv` computes it, one
+//! Cholesky per connected component of `S_c`. For any right-hand side `b` that is mean-zero per
 //! component,
 //!
 //! ```text
@@ -29,8 +30,7 @@
 //! divergence from the monolithic oracle is floating-point routing
 //! (documented as `PART_REL_TOL`). A block covering a *whole* component
 //! has no boundary at all; it stores the component's `L⁺` directly and
-//! the correction term vanishes — the components-mode exactness
-//! guarantee.
+//! the correction term vanishes, so whole-component blocks are exact.
 //!
 //! Cross-component pairs need `diag(L⁺)`; those entries are recovered
 //! through the same identity with `b = e_v − 1_C / n_C` (mean-zero by
@@ -41,12 +41,8 @@ use crate::partitioner::Partition;
 use cad_commute::Result;
 use cad_graph::{GraphError, WeightedGraph};
 use cad_linalg::dense::CholeskyFactor;
-use cad_linalg::pinv::{laplacian_pinv_cholesky, sym_pinv};
+use cad_linalg::pinv::laplacian_pinv;
 use cad_linalg::DenseMatrix;
-
-/// Relative eigenvalue cutoff for pseudoinverses (matches the exact
-/// engine's fallback cutoff).
-const PINV_CUTOFF: f64 = 1e-9;
 
 /// Where a vertex lives in the block layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,9 +187,7 @@ impl ExactBlocks {
             let (m, w) = if ni == 0 {
                 (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, ns))
             } else if whole {
-                let m = laplacian_pinv_cholesky(&l_ii)
-                    .or_else(|_| sym_pinv(&l_ii, PINV_CUTOFF))
-                    .map_err(GraphError::from)?;
+                let m = laplacian_pinv(&l_ii).map_err(GraphError::from)?;
                 (m, DenseMatrix::zeros(0, ns))
             } else {
                 let m = CholeskyFactor::factor(&l_ii)
@@ -256,7 +250,7 @@ impl ExactBlocks {
                     }
                 }
             }
-            sym_pinv(&s_c, PINV_CUTOFF).map_err(GraphError::from)?
+            laplacian_pinv(&s_c).map_err(GraphError::from)?
         };
 
         let blocks: Vec<Block> = built.into_iter().map(|(b, _)| b).collect();
@@ -401,76 +395,13 @@ impl ExactBlocks {
         }
         (mterm + quad(&self.s_pinv, &rhs)).max(0.0)
     }
-
-    /// Solve `L x = y` for a right-hand side that is mean-zero per
-    /// component, returning the mean-zero-per-component solution (what
-    /// the monolithic CG solver converges to). Backs the partitioned
-    /// embedding build.
-    pub(crate) fn solve_mean_zero(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let ns = self.sep.len();
-        let mut x = vec![0.0; self.n];
-        // Gather per-block interior slices and u_k = M_k y_I(k).
-        let mut rhs_s = vec![0.0; ns];
-        for (q, &v) in self.sep.iter().enumerate() {
-            rhs_s[q] = y[v as usize];
-        }
-        let mut us: Vec<Vec<f64>> = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let yi: Vec<f64> = block.nodes.iter().map(|&v| y[v as usize]).collect();
-            let u = block.m.matvec(&yi).map_err(GraphError::from)?;
-            if !block.whole {
-                for (p, &yp) in yi.iter().enumerate() {
-                    if yp == 0.0 {
-                        continue;
-                    }
-                    for (q, slot) in rhs_s.iter_mut().enumerate() {
-                        *slot -= yp * block.w.get(p, q);
-                    }
-                }
-            }
-            us.push(u);
-        }
-        let x_s = if ns == 0 {
-            Vec::new()
-        } else {
-            self.s_pinv.matvec(&rhs_s).map_err(GraphError::from)?
-        };
-        for (q, &v) in self.sep.iter().enumerate() {
-            x[v as usize] = x_s[q];
-        }
-        for (block, u) in self.blocks.iter().zip(us) {
-            if block.whole || ns == 0 {
-                for (&v, xv) in block.nodes.iter().zip(u) {
-                    x[v as usize] = xv;
-                }
-            } else {
-                let wx = block.w.matvec(&x_s).map_err(GraphError::from)?;
-                for ((&v, xv), corr) in block.nodes.iter().zip(u).zip(wx) {
-                    x[v as usize] = xv - corr;
-                }
-            }
-        }
-        // Normalize to mean-zero per component (the min-norm solution).
-        let n_comp = self.comp_size.len();
-        let mut mean = vec![0.0; n_comp];
-        for (v, &xv) in x.iter().enumerate() {
-            mean[self.comp_of[v] as usize] += xv;
-        }
-        for (c, m) in mean.iter_mut().enumerate() {
-            *m /= self.comp_size[c] as f64;
-        }
-        for (v, xv) in x.iter_mut().enumerate() {
-            *xv -= mean[self.comp_of[v] as usize];
-        }
-        Ok(x)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partitioner::partition;
-    use cad_commute::{ExactCommute, PartitionMode, PartitionSpec};
+    use cad_commute::{ExactCommute, PartitionSpec};
 
     fn check_against_exact(g: &WeightedGraph, spec: PartitionSpec, tol: f64) {
         let part = partition(g, spec).unwrap();
@@ -481,8 +412,8 @@ mod tests {
                 let (a, b) = (blocks.resistance(i, j), exact.resistance(i, j));
                 assert!(
                     (a - b).abs() <= tol * (1.0 + b),
-                    "r({i},{j}): partitioned {a} vs exact {b} ({:?})",
-                    part.mode
+                    "r({i},{j}): partitioned {a} vs exact {b} ({} blocks)",
+                    part.n_blocks
                 );
             }
         }
@@ -510,14 +441,7 @@ mod tests {
     fn bfs_split_matches_exact_on_connected_graph() {
         let g = ring_of_clusters();
         for blocks in [2, 3, 5] {
-            check_against_exact(
-                &g,
-                PartitionSpec {
-                    blocks,
-                    mode: PartitionMode::Bfs,
-                },
-                1e-8,
-            );
+            check_against_exact(&g, PartitionSpec { blocks }, 1e-8);
         }
     }
 
@@ -537,14 +461,7 @@ mod tests {
             ],
         )
         .unwrap();
-        check_against_exact(
-            &g,
-            PartitionSpec {
-                blocks: 3,
-                mode: PartitionMode::Components,
-            },
-            1e-8,
-        );
+        check_against_exact(&g, PartitionSpec { blocks: 3 }, 1e-8);
     }
 
     #[test]
@@ -560,27 +477,13 @@ mod tests {
         }
         edges.push((8, 13, 0.3));
         let g = WeightedGraph::from_edges(14, &edges).unwrap();
-        check_against_exact(
-            &g,
-            PartitionSpec {
-                blocks: 4,
-                mode: PartitionMode::Bfs,
-            },
-            1e-8,
-        );
+        check_against_exact(&g, PartitionSpec { blocks: 4 }, 1e-8);
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let g = ring_of_clusters();
-        let part = partition(
-            &g,
-            PartitionSpec {
-                blocks: 3,
-                mode: PartitionMode::Bfs,
-            },
-        )
-        .unwrap();
+        let part = partition(&g, PartitionSpec { blocks: 3 }).unwrap();
         let seq = ExactBlocks::build(&g, &part, 1).unwrap();
         let par = ExactBlocks::build(&g, &part, 4).unwrap();
         for i in 0..12 {
@@ -592,34 +495,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn solve_mean_zero_matches_direct_pinv_apply() {
-        let g = ring_of_clusters();
-        let part = partition(
-            &g,
-            PartitionSpec {
-                blocks: 3,
-                mode: PartitionMode::Bfs,
-            },
-        )
-        .unwrap();
-        let blocks = ExactBlocks::build(&g, &part, 1).unwrap();
-        let exact = ExactCommute::compute(&g).unwrap();
-        // A mean-zero RHS (edge-incidence style).
-        let mut y = vec![0.0; 12];
-        y[1] = 1.3;
-        y[9] = -1.3;
-        let x = blocks.solve_mean_zero(&y).unwrap();
-        // Compare against L⁺ y via resistances: xᵀ y should equal yᵀ L⁺ y.
-        let want = {
-            // yᵀL⁺y for y = 1.3 (e1 − e9) is 1.69 · r_eff(1, 9).
-            1.69 * exact.resistance(1, 9)
-        };
-        let got: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        assert!((got - want).abs() <= 1e-8 * (1.0 + want), "{got} vs {want}");
-        // Mean-zero per component (single component here).
-        assert!(x.iter().sum::<f64>().abs() < 1e-9);
     }
 }

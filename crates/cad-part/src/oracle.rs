@@ -2,7 +2,7 @@
 //! block-by-block as independent work units.
 
 use crate::blocks::ExactBlocks;
-use crate::partitioner::{partition, Partition};
+use crate::partitioner::partition;
 use cad_commute::{
     CommuteTimeEngine, DistanceOracle, EngineOptions, OracleKind, PartitionInfo, PartitionSpec,
     Result, SharedOracle,
@@ -10,71 +10,45 @@ use cad_commute::{
 use cad_graph::WeightedGraph;
 use cad_obs::Counter;
 
-/// The partitioned solve state behind a [`PartitionedOracle`].
-#[derive(Debug, Clone)]
-pub(crate) enum Inner {
-    /// Exact per-block `L⁺` pieces plus the interface solve.
-    Exact(ExactBlocks),
-    /// JL-sketched coordinates (row-major `n × k`), solved through the
-    /// block machinery at build time; the block structures are dropped
-    /// once the sketch is in hand.
-    Embedding { coords: Vec<f64>, k: usize },
-}
-
-/// A block-partitioned commute-time oracle.
+/// A block-partitioned exact commute-time oracle.
 ///
-/// Same query semantics as the monolithic exact/embedding oracles —
-/// `distance` is the commute distance `V_G · r_eff` — but every
-/// per-block factorization is an independent work unit fanned out over
+/// Same query semantics as the monolithic exact oracle — `distance` is
+/// the commute distance `V_G · r_eff` — but every per-block
+/// factorization is an independent work unit fanned out over
 /// `cad_linalg::par` (index-order merge, so results are bit-identical
 /// for any thread count). Divergence from the *unpartitioned* oracle is
 /// bounded by [`crate::PART_REL_TOL`], and is exactly zero when every
-/// block is a whole connected component (components mode).
+/// block is a whole connected component.
 #[derive(Debug, Clone)]
 pub struct PartitionedOracle {
-    pub(crate) n: usize,
     pub(crate) volume: f64,
     pub(crate) info: PartitionInfo,
-    pub(crate) inner: Inner,
+    pub(crate) blocks: ExactBlocks,
     pub(crate) build_stats: cad_obs::OracleBuildStats,
 }
 
 impl PartitionedOracle {
     /// Build a partitioned oracle for `g`.
     ///
-    /// The engine choice mirrors [`CommuteTimeEngine`]: `Exact` and the
-    /// small side of `Auto` take the per-block Schur route, `Approximate`
-    /// and the large side of `Auto` sketch through the block solver. The
-    /// ablation engines (`ShortestPath`, `Corrected`) have no block
-    /// formulation — those requests fall back to the monolithic build
-    /// (the returned oracle then reports no partition info).
+    /// Only the exact engine has a block formulation: `Exact` and the
+    /// small side of `Auto` take the per-block Schur route. Every other
+    /// request — the embedding (`Approximate`, the large side of `Auto`)
+    /// and the ablation engines — falls back to the monolithic build,
+    /// and the returned oracle then reports no partition info.
     pub fn build(
         g: &WeightedGraph,
         opts: &EngineOptions,
         spec: PartitionSpec,
         threads: usize,
     ) -> Result<SharedOracle> {
-        enum Route {
-            Exact,
-            Embedding(cad_commute::EmbeddingOptions),
-        }
-        let route = match opts {
-            EngineOptions::Exact => Route::Exact,
-            EngineOptions::Approximate(e) => Route::Embedding(*e),
-            EngineOptions::Auto {
-                threshold,
-                embedding,
-            } => {
-                if g.n_nodes() <= *threshold {
-                    Route::Exact
-                } else {
-                    Route::Embedding(*embedding)
-                }
-            }
-            EngineOptions::ShortestPath | EngineOptions::Corrected => {
-                return CommuteTimeEngine::compute(g, opts);
-            }
+        let exact = match opts {
+            EngineOptions::Exact => true,
+            EngineOptions::Auto { threshold, .. } => g.n_nodes() <= *threshold,
+            _ => false,
         };
+        if !exact {
+            return CommuteTimeEngine::compute(g, opts);
+        }
 
         let _span = cad_obs::span!("oracle_build");
         cad_obs::count(Counter::OracleBuilds, 1);
@@ -88,26 +62,14 @@ impl PartitionedOracle {
                 boundary_edges: part.cut_edges,
             };
             let blocks = ExactBlocks::build(g, &part, threads)?;
-            let (inner, backend) = match route {
-                Route::Exact => (Inner::Exact(blocks), "partitioned-exact"),
-                Route::Embedding(e) => (
-                    Self::sketch(g, &blocks, &e, threads)?,
-                    "partitioned-embedding",
-                ),
-            };
-            let jl_dim = match &inner {
-                Inner::Embedding { k, .. } => Some(*k),
-                Inner::Exact(_) => None,
-            };
             Ok(PartitionedOracle {
-                n: g.n_nodes(),
                 volume: g.volume(),
                 info,
-                inner,
+                blocks,
                 build_stats: cad_obs::OracleBuildStats {
-                    backend,
+                    backend: "partitioned-exact",
                     build_secs: build_start.elapsed().as_secs_f64(),
-                    jl_dim,
+                    jl_dim: None,
                     solves: Vec::new(),
                 },
             })
@@ -116,51 +78,9 @@ impl PartitionedOracle {
         oracle.map(|o| Box::new(o) as SharedOracle)
     }
 
-    /// The same JL sketch as `CommuteEmbedding::compute` — identical
-    /// seed, sign stream and scaling — with each row's Laplacian solve
-    /// routed through the block machinery instead of monolithic CG.
-    fn sketch(
-        g: &WeightedGraph,
-        blocks: &ExactBlocks,
-        e: &cad_commute::EmbeddingOptions,
-        threads: usize,
-    ) -> Result<Inner> {
-        if e.k == 0 {
-            return Err(cad_graph::GraphError::InvalidInput(
-                "embedding dimension k must be > 0".into(),
-            ));
-        }
-        let n = g.n_nodes();
-        let solve_row = |row: usize| -> Result<Vec<f64>> {
-            blocks.solve_mean_zero(&cad_commute::sketch_rhs_panel::<1>(g, e, row))
-        };
-        let rows: Vec<Vec<f64>> =
-            cad_linalg::par::par_tabulate_result(e.k, threads.max(1), solve_row)?;
-        let mut coords = vec![0.0; n * e.k];
-        for (row, x) in rows.into_iter().enumerate() {
-            for (i, xi) in x.into_iter().enumerate() {
-                coords[i * e.k + row] = xi;
-            }
-        }
-        Ok(Inner::Embedding { coords, k: e.k })
-    }
-
-    /// Effective resistance (exact: stitched block solve; embedding:
-    /// sketch distance).
+    /// Effective resistance, stitched across the block interface.
     pub fn resistance(&self, i: usize, j: usize) -> f64 {
-        match &self.inner {
-            Inner::Exact(b) => b.resistance(i, j),
-            Inner::Embedding { coords, k } => {
-                if i == j {
-                    0.0
-                } else {
-                    cad_linalg::vecops::dist2_sq(
-                        &coords[i * k..(i + 1) * k],
-                        &coords[j * k..(j + 1) * k],
-                    )
-                }
-            }
-        }
+        self.blocks.resistance(i, j)
     }
 
     /// Realised block layout facts.
@@ -171,7 +91,7 @@ impl PartitionedOracle {
 
 impl DistanceOracle for PartitionedOracle {
     fn n_nodes(&self) -> usize {
-        self.n
+        self.blocks.n
     }
 
     fn distance(&self, i: usize, j: usize) -> f64 {
@@ -179,10 +99,7 @@ impl DistanceOracle for PartitionedOracle {
     }
 
     fn kind(&self) -> OracleKind {
-        match self.inner {
-            Inner::Exact(_) => OracleKind::Exact,
-            Inner::Embedding { .. } => OracleKind::Embedding,
-        }
+        OracleKind::Exact
     }
 
     fn volume(&self) -> Option<f64> {
@@ -210,16 +127,10 @@ impl DistanceOracle for PartitionedOracle {
     }
 }
 
-/// Re-borrow of [`Partition`] so downstream crates can inspect layouts
-/// without the solve state.
-pub fn layout(g: &WeightedGraph, spec: PartitionSpec) -> Result<Partition> {
-    partition(g, spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cad_commute::{EmbeddingOptions, ExactCommute, PartitionMode};
+    use cad_commute::{EmbeddingOptions, ExactCommute};
 
     fn bridged(n_half: usize) -> WeightedGraph {
         // Two cliques joined by one edge: a connected graph with a cut.
@@ -239,10 +150,7 @@ mod tests {
     fn counters_track_layout() {
         let reg = std::sync::Arc::new(cad_obs::Registry::new());
         let _metrics = reg.enter();
-        let spec = PartitionSpec {
-            blocks: 2,
-            mode: PartitionMode::Bfs,
-        };
+        let spec = PartitionSpec { blocks: 2 };
         let _o = PartitionedOracle::build(&bridged(4), &EngineOptions::Exact, spec, 1).unwrap();
         assert_eq!(reg.counter(Counter::PartBlocks), 2);
         assert_eq!(reg.counter(Counter::PartBlockSolves), 2);
@@ -251,10 +159,7 @@ mod tests {
     #[test]
     fn exact_partitioned_matches_monolithic() {
         let g = bridged(5);
-        let spec = PartitionSpec {
-            blocks: 2,
-            mode: PartitionMode::Bfs,
-        };
+        let spec = PartitionSpec { blocks: 2 };
         let o = PartitionedOracle::build(&g, &EngineOptions::Exact, spec, 1).unwrap();
         assert_eq!(o.kind(), OracleKind::Exact);
         assert!(o.is_exact());
@@ -275,26 +180,24 @@ mod tests {
 
     #[test]
     fn embedding_partitioned_tracks_monolithic_embedding() {
+        // The embedding has no block formulation: a partitioned request
+        // builds the monolithic embedding, bit for bit.
         let g = bridged(4);
         let e = EmbeddingOptions {
             k: 64,
             ..Default::default()
         };
-        let spec = PartitionSpec {
-            blocks: 2,
-            mode: PartitionMode::Bfs,
-        };
+        let spec = PartitionSpec { blocks: 2 };
         let o = PartitionedOracle::build(&g, &EngineOptions::Approximate(e), spec, 1).unwrap();
         assert_eq!(o.kind(), OracleKind::Embedding);
+        assert!(o.partition_info().is_none(), "built monolithically");
         let mono = cad_commute::CommuteEmbedding::compute(&g, &e).unwrap();
-        // Same sketch, direct instead of CG solves: agreement is limited
-        // only by the CG tolerance, far inside PART_REL_TOL.
         for i in 0..8 {
             for j in 0..8 {
-                let (a, b) = (o.commute_distance(i, j), mono.commute_distance(i, j));
-                assert!(
-                    (a - b).abs() <= crate::PART_REL_TOL * (1.0 + b),
-                    "c({i},{j}): {a} vs {b}"
+                assert_eq!(
+                    o.commute_distance(i, j).to_bits(),
+                    mono.commute_distance(i, j).to_bits(),
+                    "c({i},{j})"
                 );
             }
         }
@@ -303,7 +206,7 @@ mod tests {
     #[test]
     fn ablation_engines_fall_back_to_monolithic() {
         let g = bridged(3);
-        let spec = PartitionSpec::auto(2);
+        let spec = PartitionSpec { blocks: 2 };
         let o = PartitionedOracle::build(&g, &EngineOptions::ShortestPath, spec, 1).unwrap();
         assert_eq!(o.kind(), OracleKind::ShortestPath);
         assert!(o.partition_info().is_none(), "fallback is unpartitioned");
@@ -322,7 +225,7 @@ mod tests {
                 ..Default::default()
             },
         };
-        let spec = PartitionSpec::auto(2);
+        let spec = PartitionSpec { blocks: 2 };
         let small = PartitionedOracle::build(&g, &opts(8), spec, 1).unwrap();
         assert_eq!(small.kind(), OracleKind::Exact);
         let large = PartitionedOracle::build(&g, &opts(7), spec, 1).unwrap();
@@ -342,21 +245,18 @@ mod tests {
             ],
         )
         .unwrap();
-        let spec = PartitionSpec {
-            blocks: 2,
-            mode: PartitionMode::Components,
-        };
+        let spec = PartitionSpec { blocks: 2 };
         let o = PartitionedOracle::build(&g, &EngineOptions::Exact, spec, 1).unwrap();
         let info = o.partition_info().unwrap();
         assert_eq!(info.boundary_edges, 0);
         let mono = ExactCommute::compute(&g).unwrap();
-        // No interface at all: the only arithmetic difference vs the
-        // monolithic build is pinv on the component instead of the whole
-        // matrix — both land on the same Cholesky route per component.
+        // No interface at all: both builds run the same per-component
+        // Cholesky on the same entries, so every distance has the same
+        // bits.
         for i in 0..6 {
             for j in 0..6 {
                 let (a, b) = (o.distance(i, j), mono.commute_distance(i, j));
-                assert!((a - b).abs() <= 1e-9 * (1.0 + b), "c({i},{j}): {a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "c({i},{j}): {a} vs {b}");
             }
         }
     }

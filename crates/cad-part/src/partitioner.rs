@@ -1,24 +1,21 @@
-//! Graph partitioner: connected components first, then a greedy BFS
-//! balanced-block splitter.
+//! Graph partitioner: a greedy BFS balanced-block splitter.
 //!
-//! Both modes are fully deterministic: components are numbered by
-//! smallest contained vertex id, BFS seeds each component at its
-//! smallest vertex and visits neighbors in CSR adjacency order, and
-//! blocks are consecutive chunks of that order. The same graph and spec
-//! therefore always yield the same layout, which is what lets the
-//! `cad-store` cache key partitioned artifacts by `(snapshot, engine,
-//! spec)` alone.
+//! Fully deterministic: components are numbered by smallest contained
+//! vertex id, BFS seeds each component at its smallest vertex and visits
+//! neighbors in CSR adjacency order, and blocks are consecutive chunks
+//! of that order. The same graph and spec therefore always yield the
+//! same layout, which is what lets the `cad-store` cache key partitioned
+//! artifacts by `(snapshot, engine, spec)` alone.
 
+use cad_commute::PartitionSpec;
 use cad_commute::Result;
-use cad_commute::{PartitionMode, PartitionSpec};
 use cad_graph::{GraphError, WeightedGraph};
 
 /// A concrete block layout for one graph instance.
 #[derive(Debug, Clone)]
 pub struct Partition {
-    /// Realised block count (`Bfs` targets the spec's count but rounds
-    /// to whole per-component chunks; `Components` yields one block per
-    /// component).
+    /// Realised block count (the spec's target, rounded to whole
+    /// per-component chunks).
     pub n_blocks: usize,
     /// Block id per vertex. Every block is contained in exactly one
     /// connected component.
@@ -33,16 +30,10 @@ pub struct Partition {
     /// `true` for endpoints of cut edges — the boundary-vertex
     /// interface set `S`.
     pub boundary: Vec<bool>,
-    /// The mode that actually ran (`Auto` resolved to `Components` or
-    /// `Bfs`).
-    pub mode: PartitionMode,
 }
 
-/// Partition `g` per `spec`.
-///
-/// `Auto` resolves to `Components` when the graph has at least
-/// `spec.blocks` connected components (blocks are then exact), else
-/// `Bfs`. Rejects `blocks == 0`.
+/// Partition `g` into about `spec.blocks` blocks. Rejects
+/// `blocks == 0`.
 pub fn partition(g: &WeightedGraph, spec: PartitionSpec) -> Result<Partition> {
     if spec.blocks == 0 {
         return Err(GraphError::InvalidInput(
@@ -51,23 +42,7 @@ pub fn partition(g: &WeightedGraph, spec: PartitionSpec) -> Result<Partition> {
     }
     let n = g.n_nodes();
     let (component_of, n_components) = g.components();
-    let mode = match spec.mode {
-        PartitionMode::Components => PartitionMode::Components,
-        PartitionMode::Bfs => PartitionMode::Bfs,
-        PartitionMode::Auto => {
-            if n_components >= spec.blocks {
-                PartitionMode::Components
-            } else {
-                PartitionMode::Bfs
-            }
-        }
-    };
-
-    let (block_of, n_blocks) = match mode {
-        PartitionMode::Components => (component_of.clone(), n_components),
-        PartitionMode::Bfs => bfs_blocks(g, &component_of, n_components, spec.blocks),
-        PartitionMode::Auto => unreachable!("Auto resolved above"),
-    };
+    let (block_of, n_blocks) = bfs_blocks(g, &component_of, spec.blocks);
 
     let mut boundary = vec![false; n];
     let mut cut_edges = 0usize;
@@ -86,7 +61,6 @@ pub fn partition(g: &WeightedGraph, spec: PartitionSpec) -> Result<Partition> {
         n_components,
         cut_edges,
         boundary,
-        mode,
     })
 }
 
@@ -95,19 +69,13 @@ pub fn partition(g: &WeightedGraph, spec: PartitionSpec) -> Result<Partition> {
 /// order of their smallest vertex, so block ids are stable; a component
 /// smaller than one chunk stays a single (whole-component, hence exact)
 /// block.
-fn bfs_blocks(
-    g: &WeightedGraph,
-    component_of: &[u32],
-    n_components: usize,
-    target: usize,
-) -> (Vec<u32>, usize) {
+fn bfs_blocks(g: &WeightedGraph, component_of: &[u32], target: usize) -> (Vec<u32>, usize) {
     let n = g.n_nodes();
     let chunk = n.div_ceil(target).max(1);
     let mut block_of = vec![u32::MAX; n];
     let mut next_block = 0u32;
     let mut visited = vec![false; n];
     let mut queue = std::collections::VecDeque::new();
-    let _ = n_components;
     for seed in 0..n {
         if visited[seed] {
             continue;
@@ -156,15 +124,10 @@ mod tests {
 
     #[test]
     fn components_mode_has_no_cut() {
+        // As many blocks as components: each component fits one chunk,
+        // so blocks are whole components.
         let g = two_triangles(false);
-        let p = partition(
-            &g,
-            PartitionSpec {
-                blocks: 2,
-                mode: PartitionMode::Components,
-            },
-        )
-        .unwrap();
+        let p = partition(&g, PartitionSpec { blocks: 2 }).unwrap();
         assert_eq!(p.n_blocks, 2);
         assert_eq!(p.cut_edges, 0);
         assert!(p.boundary.iter().all(|&b| !b));
@@ -173,37 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_components_when_enough_then_bfs() {
-        let disconnected = two_triangles(false);
-        let p = partition(&disconnected, PartitionSpec::auto(2)).unwrap();
-        assert_eq!(p.mode, PartitionMode::Components);
-        assert_eq!(p.cut_edges, 0);
-
-        let connected = two_triangles(true);
-        let p = partition(&connected, PartitionSpec::auto(2)).unwrap();
-        assert_eq!(p.mode, PartitionMode::Bfs);
-        assert_eq!(p.n_blocks, 2);
-        assert!(p.cut_edges > 0, "a split connected graph has a cut");
-        // Boundary = endpoints of cut edges only.
-        for (u, v, _) in connected.edges() {
-            if p.block_of[u] != p.block_of[v] {
-                assert!(p.boundary[u] && p.boundary[v]);
-            }
-        }
-    }
-
-    #[test]
     fn bfs_blocks_are_balanced_and_component_local() {
         let g = two_triangles(true);
-        let p = partition(
-            &g,
-            PartitionSpec {
-                blocks: 3,
-                mode: PartitionMode::Bfs,
-            },
-        )
-        .unwrap();
+        let p = partition(&g, PartitionSpec { blocks: 3 }).unwrap();
         assert_eq!(p.n_blocks, 3);
+        assert!(p.cut_edges > 0, "a split connected graph has a cut");
         let mut sizes = vec![0usize; p.n_blocks];
         for v in 0..6 {
             sizes[p.block_of[v] as usize] += 1;
@@ -214,13 +151,18 @@ mod tests {
             }
         }
         assert!(sizes.iter().all(|&s| s > 0 && s <= 2));
+        // Boundary = endpoints of cut edges only.
+        for v in 0..6 {
+            let cut = g.neighbors(v).any(|(u, _)| p.block_of[u] != p.block_of[v]);
+            assert_eq!(p.boundary[v], cut, "vertex {v}");
+        }
     }
 
     #[test]
     fn deterministic_layout() {
         let g = two_triangles(true);
-        let a = partition(&g, PartitionSpec::auto(2)).unwrap();
-        let b = partition(&g, PartitionSpec::auto(2)).unwrap();
+        let a = partition(&g, PartitionSpec { blocks: 2 }).unwrap();
+        let b = partition(&g, PartitionSpec { blocks: 2 }).unwrap();
         assert_eq!(a.block_of, b.block_of);
         assert_eq!(a.cut_edges, b.cut_edges);
     }
@@ -228,20 +170,13 @@ mod tests {
     #[test]
     fn rejects_zero_blocks() {
         let g = two_triangles(false);
-        assert!(partition(&g, PartitionSpec::auto(0)).is_err());
+        assert!(partition(&g, PartitionSpec { blocks: 0 }).is_err());
     }
 
     #[test]
     fn oversubscribed_blocks_degenerate_to_singletons() {
         let g = two_triangles(true);
-        let p = partition(
-            &g,
-            PartitionSpec {
-                blocks: 100,
-                mode: PartitionMode::Bfs,
-            },
-        )
-        .unwrap();
+        let p = partition(&g, PartitionSpec { blocks: 100 }).unwrap();
         assert_eq!(p.n_blocks, 6);
         assert_eq!(p.cut_edges, g.n_edges());
     }

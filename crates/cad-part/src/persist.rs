@@ -5,19 +5,19 @@
 //! is stored as its raw IEEE-754 bit pattern (little-endian), so a
 //! loaded oracle answers queries bit-identically to the instance that
 //! was saved. Layout: `magic "CADPART\0" · version u32 · tag u8 ·
-//! payload` with tag 1 = exact blocks, tag 2 = embedding. The store
-//! handles integrity (CRC); this module bounds-checks every read and
-//! rejects truncated or trailing bytes.
+//! payload` with tag 1 = exact blocks. Tag 2 held a partitioned
+//! embedding, which is no longer built; such artifacts decode to an
+//! error. The store handles integrity (CRC); this module bounds-checks
+//! every read and rejects truncated or trailing bytes.
 //!
 //! [`decode_oracle`] is the store-facing entry point: it dispatches on
 //! the magic, falling back to [`cad_commute::oracle_from_bytes`] for
-//! monolithic artifacts — partitioned requests for the ablation engines
-//! (shortest-path, corrected) build monolithically, so their cached
-//! artifacts carry the `CADORCL` magic even under a partitioned cache
-//! key.
+//! monolithic artifacts — partitioned requests for every engine but the
+//! exact one build monolithically, so their cached artifacts carry the
+//! `CADORCL` magic even under a partitioned cache key.
 
 use crate::blocks::{Block, ExactBlocks, Loc};
-use crate::oracle::{Inner, PartitionedOracle};
+use crate::oracle::PartitionedOracle;
 use cad_commute::persist::{put_f64, put_f64s, put_u32s, put_u64, ArtifactReader};
 use cad_commute::{PartitionInfo, Result, SharedOracle};
 use cad_graph::GraphError;
@@ -29,7 +29,6 @@ pub const PART_MAGIC: &[u8; 8] = b"CADPART\0";
 pub const PART_FORMAT_VERSION: u32 = 1;
 
 const TAG_EXACT: u8 = 1;
-const TAG_EMBEDDING: u8 = 2;
 
 /// Serialize a [`PartitionedOracle`] (called via
 /// `DistanceOracle::to_store_bytes`).
@@ -37,41 +36,31 @@ pub(crate) fn to_bytes(o: &PartitionedOracle) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(PART_MAGIC);
     out.extend_from_slice(&PART_FORMAT_VERSION.to_le_bytes());
-    out.push(match o.inner {
-        Inner::Exact(_) => TAG_EXACT,
-        Inner::Embedding { .. } => TAG_EMBEDDING,
-    });
-    put_u64(&mut out, o.n as u64);
+    out.push(TAG_EXACT);
+    put_u64(&mut out, o.blocks.n as u64);
     put_f64(&mut out, o.volume);
     put_u64(&mut out, o.info.blocks as u64);
     put_u64(&mut out, o.info.boundary_edges as u64);
-    match &o.inner {
-        Inner::Embedding { coords, k } => {
-            put_u64(&mut out, *k as u64);
-            put_f64s(&mut out, coords);
+    let b = &o.blocks;
+    put_u32s(&mut out, &b.comp_of);
+    put_u64(&mut out, b.comp_size.len() as u64);
+    put_u64(&mut out, b.sep.len() as u64);
+    put_u32s(&mut out, &b.sep);
+    put_f64s(&mut out, b.s_pinv.data());
+    match &b.diag {
+        Some(d) => {
+            out.push(1);
+            put_f64s(&mut out, d);
         }
-        Inner::Exact(b) => {
-            put_u32s(&mut out, &b.comp_of);
-            put_u64(&mut out, b.comp_size.len() as u64);
-            put_u64(&mut out, b.sep.len() as u64);
-            put_u32s(&mut out, &b.sep);
-            put_f64s(&mut out, b.s_pinv.data());
-            match &b.diag {
-                Some(d) => {
-                    out.push(1);
-                    put_f64s(&mut out, d);
-                }
-                None => out.push(0),
-            }
-            put_u64(&mut out, b.blocks.len() as u64);
-            for block in &b.blocks {
-                out.push(u8::from(block.whole));
-                put_u64(&mut out, block.nodes.len() as u64);
-                put_u32s(&mut out, &block.nodes);
-                put_f64s(&mut out, block.m.data());
-                put_f64s(&mut out, block.w.data());
-            }
-        }
+        None => out.push(0),
+    }
+    put_u64(&mut out, b.blocks.len() as u64);
+    for block in &b.blocks {
+        out.push(u8::from(block.whole));
+        put_u64(&mut out, block.nodes.len() as u64);
+        put_u32s(&mut out, &block.nodes);
+        put_f64s(&mut out, block.m.data());
+        put_f64s(&mut out, block.w.data());
     }
     out
 }
@@ -215,41 +204,32 @@ pub fn decode_oracle(bytes: &[u8]) -> Result<SharedOracle> {
         blocks: cur.usize_checked("block count")?,
         boundary_edges: cur.usize_checked("boundary edge count")?,
     };
-    let (inner, backend) = match tag {
-        TAG_EMBEDDING => {
-            let k = cur.usize_checked("embedding dimension")?;
-            let len = n
-                .checked_mul(k)
-                .ok_or_else(|| invalid("partitioned artifact: n·k overflows".into()))?;
-            let coords = cur.f64s(len, "coordinates")?;
-            cur.finish("partitioned embedding")?;
-            (Inner::Embedding { coords, k }, "partitioned-embedding")
-        }
-        TAG_EXACT => {
-            let blocks = decode_exact(&mut cur, n)?;
-            cur.finish("partitioned exact oracle")?;
-            (Inner::Exact(blocks), "partitioned-exact")
+    match tag {
+        TAG_EXACT => {}
+        2 => {
+            return Err(invalid(
+                "partitioned artifact: tag 2 (partitioned embedding) is no longer \
+                 supported; rebuild the oracle"
+                    .into(),
+            ))
         }
         other => {
             return Err(invalid(format!(
                 "partitioned artifact: unknown tag {other}"
             )))
         }
-    };
-    let jl_dim = match &inner {
-        Inner::Embedding { k, .. } => Some(*k),
-        Inner::Exact(_) => None,
-    };
+    }
+    let blocks = decode_exact(&mut cur, n)?;
+    cur.finish("partitioned exact oracle")?;
     Ok(Box::new(PartitionedOracle {
-        n,
         volume,
         info,
-        inner,
+        blocks,
         // Truthful provenance: loading performed no solves.
         build_stats: cad_obs::OracleBuildStats {
-            backend,
+            backend: "partitioned-exact",
             build_secs: 0.0,
-            jl_dim,
+            jl_dim: None,
             solves: Vec::new(),
         },
     }))
@@ -258,7 +238,7 @@ pub fn decode_oracle(bytes: &[u8]) -> Result<SharedOracle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cad_commute::{EmbeddingOptions, EngineOptions, PartitionMode, PartitionSpec};
+    use cad_commute::{EmbeddingOptions, EngineOptions, PartitionSpec};
     use cad_graph::WeightedGraph;
 
     fn graph() -> WeightedGraph {
@@ -304,15 +284,14 @@ mod tests {
 
     #[test]
     fn exact_round_trips_bit_identically() {
-        for mode in [
-            PartitionMode::Bfs,
-            PartitionMode::Components,
-            PartitionMode::Auto,
-        ] {
-            round_trip(&EngineOptions::Exact, PartitionSpec { blocks: 3, mode });
+        // Two blocks keep the components whole; three split the first.
+        for blocks in [2, 3] {
+            round_trip(&EngineOptions::Exact, PartitionSpec { blocks });
         }
     }
 
+    /// A partitioned embedding request builds the monolithic embedding,
+    /// whose artifact decodes through the monolithic fallback.
     #[test]
     fn embedding_round_trips_bit_identically() {
         round_trip(
@@ -320,14 +299,14 @@ mod tests {
                 k: 10,
                 ..Default::default()
             }),
-            PartitionSpec::auto(2),
+            PartitionSpec { blocks: 2 },
         );
     }
 
     #[test]
     fn monolithic_fallback_artifacts_decode_too() {
         let g = graph();
-        let spec = PartitionSpec::auto(2);
+        let spec = PartitionSpec { blocks: 2 };
         let o = PartitionedOracle::build(&g, &EngineOptions::Corrected, spec, 1).unwrap();
         let loaded = decode_oracle(&o.to_store_bytes()).unwrap();
         assert_eq!(loaded.kind(), o.kind());
@@ -337,10 +316,7 @@ mod tests {
     #[test]
     fn damaged_artifacts_error_instead_of_panicking() {
         let g = graph();
-        let spec = PartitionSpec {
-            blocks: 3,
-            mode: PartitionMode::Bfs,
-        };
+        let spec = PartitionSpec { blocks: 3 };
         let bytes = PartitionedOracle::build(&g, &EngineOptions::Exact, spec, 1)
             .unwrap()
             .to_store_bytes();
@@ -356,5 +332,29 @@ mod tests {
         let mut bad_version = bytes;
         bad_version[8] = 42;
         assert!(decode_oracle(&bad_version).is_err());
+    }
+
+    #[test]
+    fn old_partitioned_embedding_artifacts_are_rejected() {
+        // A tag-2 artifact as older builds wrote it: header, then n,
+        // volume, block count, boundary edges, k and n·k coordinates.
+        let (n, k) = (3u64, 2u64);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(PART_MAGIC);
+        bytes.extend_from_slice(&PART_FORMAT_VERSION.to_le_bytes());
+        bytes.push(2);
+        put_u64(&mut bytes, n);
+        put_f64(&mut bytes, 4.0);
+        put_u64(&mut bytes, 2);
+        put_u64(&mut bytes, 1);
+        put_u64(&mut bytes, k);
+        put_f64s(&mut bytes, &[0.5; 6]);
+        match decode_oracle(&bytes) {
+            Err(GraphError::InvalidInput(msg)) => {
+                assert!(msg.contains("tag 2"), "{msg}");
+            }
+            Err(other) => panic!("wrong error kind: {other:?}"),
+            Ok(_) => panic!("a tag-2 artifact must not decode"),
+        }
     }
 }

@@ -69,13 +69,7 @@ pub fn spec_to_json(spec: &SessionSpec, resolved: UpdateMode) -> String {
     }
     fields.push(("update_mode", Json::Str(resolved.name().to_string())));
     if let Some(p) = &spec.opts.partition {
-        fields.push((
-            "partition",
-            Json::obj(vec![
-                ("blocks", num(p.blocks)),
-                ("mode", Json::Str(p.mode.name().to_string())),
-            ]),
-        ));
+        fields.push(("partition", num(p.blocks)));
     }
     if !spec.label.is_empty() {
         fields.push(("label", Json::Str(spec.label.clone())));

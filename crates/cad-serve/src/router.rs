@@ -856,7 +856,7 @@ mod tests {
             &request(
                 "POST",
                 "/v1/sequences",
-                br#"{"nodes": 6, "engine": "exact", "delta": 0.4, "partition": {"blocks": 2, "mode": "components"}}"#,
+                br#"{"nodes": 6, "engine": "exact", "delta": 0.4, "partition": 2}"#,
             ),
             &ctx,
         );
@@ -1305,6 +1305,52 @@ mod tests {
             0
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn journal_with_retired_partition_object_replays_at_boot() {
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
+        let cfg = cad_journal::JournalConfig {
+            fsync: cad_journal::FsyncPolicy::Never,
+            ..Default::default()
+        };
+        let spec = |partition: &str| {
+            format!(
+                r#"{{"nodes": 6, "engine": "exact", "delta": 0.4, "update_mode": "rebuild", "partition": {partition}}}"#
+            )
+        };
+        let bodies: Vec<String> = [0.0, 1.5, 2.5].iter().map(|&b| snapshot_body(b)).collect();
+
+        // Control: a session created with today's integer spelling.
+        let control_ctx = ctx_with(SessionMap::new(8));
+        let resp = route(
+            &request("POST", "/v1/sequences", spec("2").as_bytes()),
+            &control_ctx,
+        );
+        assert_eq!(resp.status, 201, "{:?}", parse(&resp));
+        let control_id = parse(&resp).get("id").and_then(Json::as_u64).unwrap();
+        let control = push_all(&control_ctx, control_id, &bodies);
+
+        // Journals written while partition modes existed hold the object
+        // form in their create record.
+        for mode in ["components", "bfs", "auto"] {
+            let root = tmp_journal_root(mode);
+            let old = spec(&format!(r#"{{"blocks": 2, "mode": "{mode}"}}"#));
+            let mut journal =
+                cad_journal::SessionJournal::create(&root, control_id, cfg.clone()).unwrap();
+            journal
+                .append(cad_journal::RecordKind::Create, old.as_bytes())
+                .unwrap();
+            drop(journal);
+
+            let sessions = SessionMap::new(8).with_journal(root.clone(), cfg.clone());
+            let n = crate::journal::recover_all(&root, &cfg, &sessions, None).unwrap();
+            assert_eq!(n, 1, "{mode}");
+            let ctx = ctx_with(sessions);
+            assert_eq!(push_all(&ctx, control_id, &bodies), control, "{mode}");
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

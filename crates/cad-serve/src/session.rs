@@ -8,7 +8,7 @@
 //! mutex serialises its pushes — concurrent snapshots to *one* session
 //! are ordered, snapshots to *different* sessions run in parallel.
 
-use cad_commute::{EmbeddingOptions, EngineOptions, OracleProvider, PartitionMode, PartitionSpec};
+use cad_commute::{EmbeddingOptions, EngineOptions, OracleProvider, PartitionSpec};
 use cad_core::{CadOptions, OnlineCad, ScoreKind, ThresholdMode, UpdateMode};
 use cad_graph::WeightedGraph;
 use cad_journal::{JournalConfig, RecordKind, SessionJournal};
@@ -55,10 +55,12 @@ pub struct SessionSpec {
 /// (running-average target nodes per transition) may be given;
 /// neither defaults to `l = 2`. `update_mode` is one of `rebuild`,
 /// `incremental`, `auto`; omitted inherits the server's `--update-mode`
-/// default. `partition` requests the block-partitioned oracle: either a
-/// positive integer (the target block count, mode `auto`) or an object
-/// `{"blocks": n, "mode": "auto"|"components"|"bfs"}`; push responses
-/// then report the realised `blocks` and `boundary_edges`.
+/// default. `partition` requests the block-partitioned oracle: a
+/// positive integer, the target block count; push responses then report
+/// the realised `blocks` and `boundary_edges`. The object form
+/// `{"blocks": n, "mode": …}` that journals written by older builds hold
+/// still parses: `mode` must be one of the retired names `auto`,
+/// `components` or `bfs`, and is ignored.
 pub fn parse_spec(body: &[u8]) -> Result<SessionSpec, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let v = cad_obs::parse_json(text).map_err(|e| format!("body is not JSON: {e}"))?;
@@ -143,34 +145,35 @@ pub fn parse_spec(body: &[u8]) -> Result<SessionSpec, String> {
     let partition = match v.get("partition") {
         None => None,
         Some(j) => {
-            let (blocks, mode_j) = match j.as_u64() {
-                Some(b) => (b, None),
+            let blocks = match j.as_u64() {
+                Some(b) => b,
                 None => {
                     let b = j.get("blocks").and_then(Json::as_u64).ok_or_else(|| {
                         "`partition` must be a positive integer or an object with \
                          `blocks` (positive integer)"
                             .to_string()
                     })?;
-                    (b, j.get("mode"))
+                    match j.get("mode").map(|m| m.as_str()) {
+                        None | Some(Some("auto" | "components" | "bfs")) => {}
+                        Some(Some(s)) => {
+                            return Err(format!(
+                                "unknown partition `mode` {s:?} (want auto | components | bfs)"
+                            ))
+                        }
+                        Some(None) => {
+                            return Err("partition `mode` must be a string \
+                                        (auto | components | bfs)"
+                                .to_string())
+                        }
+                    }
+                    b
                 }
             };
             if blocks == 0 {
                 return Err("`partition` blocks must be at least 1".to_string());
             }
-            let mode = match mode_j.map(|m| m.as_str()) {
-                None => PartitionMode::Auto,
-                Some(Some(s)) => PartitionMode::parse(s).ok_or_else(|| {
-                    format!("unknown partition `mode` {s:?} (want auto | components | bfs)")
-                })?,
-                Some(None) => {
-                    return Err(
-                        "partition `mode` must be a string (auto | components | bfs)".to_string(),
-                    )
-                }
-            };
             Some(PartitionSpec {
                 blocks: blocks as usize,
-                mode,
             })
         }
     };
@@ -612,31 +615,19 @@ mod tests {
         assert_eq!(s.opts.partition, None, "monolithic by default");
 
         let s = parse_spec(br#"{"nodes": 8, "partition": 4}"#).unwrap();
-        assert_eq!(
-            s.opts.partition,
-            Some(PartitionSpec {
-                blocks: 4,
-                mode: PartitionMode::Auto
-            })
-        );
+        assert_eq!(s.opts.partition, Some(PartitionSpec { blocks: 4 }));
 
-        let s = parse_spec(br#"{"nodes": 8, "partition": {"blocks": 3, "mode": "bfs"}}"#).unwrap();
-        assert_eq!(
-            s.opts.partition,
-            Some(PartitionSpec {
-                blocks: 3,
-                mode: PartitionMode::Bfs
-            })
-        );
-
-        let s = parse_spec(br#"{"nodes": 8, "partition": {"blocks": 2}}"#).unwrap();
-        assert_eq!(
-            s.opts.partition,
-            Some(PartitionSpec {
-                blocks: 2,
-                mode: PartitionMode::Auto
-            })
-        );
+        // The object form older journals hold: `mode` is checked against
+        // the retired names, then ignored.
+        for body in [
+            &br#"{"nodes": 8, "partition": {"blocks": 3, "mode": "bfs"}}"#[..],
+            br#"{"nodes": 8, "partition": {"blocks": 3, "mode": "components"}}"#,
+            br#"{"nodes": 8, "partition": {"blocks": 3, "mode": "auto"}}"#,
+            br#"{"nodes": 8, "partition": {"blocks": 3}}"#,
+        ] {
+            let s = parse_spec(body).unwrap();
+            assert_eq!(s.opts.partition, Some(PartitionSpec { blocks: 3 }));
+        }
 
         for (body, needle) in [
             (&br#"{"nodes": 8, "partition": 0}"#[..], "at least 1"),

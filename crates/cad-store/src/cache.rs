@@ -62,11 +62,16 @@ fn solver_fp(s: &cad_linalg::solve::LaplacianSolverOptions) -> String {
 
 /// Stable fingerprint of the engine configuration, resolved against
 /// the instance's node count (`Auto` collapses to the engine it picks).
+///
+/// The engines built on `L⁺` (exact, corrected) carry `pinv=per-component`:
+/// builds that predate `cad_linalg::pinv::laplacian_pinv` stored
+/// eigendecomposition bits for disconnected snapshots under the bare
+/// names, and a warm hit on those must not differ from a cold build.
 pub fn engine_fingerprint(opts: &EngineOptions, n_nodes: usize) -> String {
     match opts {
-        EngineOptions::Exact => "exact".to_string(),
+        EngineOptions::Exact => "exact;pinv=per-component".to_string(),
         EngineOptions::ShortestPath => "shortest-path".to_string(),
-        EngineOptions::Corrected => "corrected".to_string(),
+        EngineOptions::Corrected => "corrected;pinv=per-component".to_string(),
         EngineOptions::Approximate(e) => {
             format!(
                 "embedding;k={};seed={};{}",
@@ -100,8 +105,8 @@ pub fn cache_key(g: &WeightedGraph, opts: &EngineOptions) -> String {
 
 /// The content-address of a *block-partitioned* oracle: [`cache_key`]'s
 /// inputs plus the partition layout fingerprint
-/// ([`cad_commute::PartitionSpec::fingerprint`] — requested mode and
-/// block count). A second domain separator keeps partitioned keys
+/// ([`cad_commute::PartitionSpec::fingerprint`] — the requested block
+/// count). A second domain separator keeps partitioned keys
 /// disjoint from monolithic ones even for identical snapshot × engine
 /// pairs; like thread count, the fingerprint deliberately excludes
 /// anything that cannot change artifact contents.
@@ -494,50 +499,51 @@ mod tests {
 
     #[test]
     fn partitioned_keys_are_disjoint_and_layout_sensitive() {
-        use cad_commute::{PartitionMode, PartitionSpec};
+        use cad_commute::PartitionSpec;
         let g = graph(1.0);
         let opts = EngineOptions::Exact;
-        let spec = |blocks, mode| PartitionSpec { blocks, mode };
-        let base = cache_key_partitioned(&g, &opts, spec(2, PartitionMode::Bfs));
+        let spec = |blocks| PartitionSpec { blocks };
+        let base = cache_key_partitioned(&g, &opts, spec(2));
         // Partitioned keys never collide with monolithic ones.
         assert_ne!(base, cache_key(&g, &opts));
-        // Block count and mode are part of the address...
-        assert_ne!(
-            base,
-            cache_key_partitioned(&g, &opts, spec(3, PartitionMode::Bfs))
-        );
-        assert_ne!(
-            base,
-            cache_key_partitioned(&g, &opts, spec(2, PartitionMode::Auto))
-        );
+        // The block count is part of the address...
+        assert_ne!(base, cache_key_partitioned(&g, &opts, spec(3)));
         // ...and the same request is stable.
-        assert_eq!(
-            base,
-            cache_key_partitioned(&graph(1.0), &opts, spec(2, PartitionMode::Bfs))
-        );
+        assert_eq!(base, cache_key_partitioned(&graph(1.0), &opts, spec(2)));
         // Snapshot and engine still separate as for monolithic keys.
+        assert_ne!(base, cache_key_partitioned(&graph(2.0), &opts, spec(2)));
         assert_ne!(
             base,
-            cache_key_partitioned(&graph(2.0), &opts, spec(2, PartitionMode::Bfs))
-        );
-        assert_ne!(
-            base,
-            cache_key_partitioned(&g, &EngineOptions::Corrected, spec(2, PartitionMode::Bfs))
+            cache_key_partitioned(&g, &EngineOptions::Corrected, spec(2))
         );
     }
 
     #[test]
+    fn exact_keys_differ_from_eigendecomposition_era_keys() {
+        // Older builds keyed the L⁺ engines by their bare names and
+        // stored eigendecomposition bits for disconnected snapshots.
+        let g = WeightedGraph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
+        for (opts, old_fp) in [
+            (EngineOptions::Exact, "exact"),
+            (EngineOptions::Corrected, "corrected"),
+        ] {
+            let mut h = Sha256::new();
+            h.update(&snapshot_bytes(&g));
+            h.update(&[0xff]);
+            h.update(old_fp.as_bytes());
+            assert_ne!(cache_key(&g, &opts), to_hex(&h.finish()), "{old_fp}");
+        }
+    }
+
+    #[test]
     fn partitioned_lookup_hits_with_bit_identical_queries() {
-        use cad_commute::{PartitionMode, PartitionSpec};
+        use cad_commute::PartitionSpec;
         let reg = Arc::new(Registry::new());
         let _metrics = reg.enter();
         let store = fresh_store("part-hit");
         let g = graph(1.0);
         let opts = EngineOptions::Exact;
-        let spec = PartitionSpec {
-            blocks: 2,
-            mode: PartitionMode::Bfs,
-        };
+        let spec = PartitionSpec { blocks: 2 };
 
         let misses_before = reg.counter(Counter::StoreCacheMisses);
         let first = store.get_or_build_partitioned(&g, &opts, spec, 1).unwrap();

@@ -1,52 +1,34 @@
-//! Partitioned-vs-unpartitioned detection contracts (the `cad-part`
-//! crate wired through `cad-core`):
+//! Partitioned-vs-unpartitioned detection contracts for the exact
+//! engine (the `cad-part` crate wired through `cad-core`):
 //!
-//! * on multi-component graphs in `components` mode the partitioned
-//!   detector reports **identical anomaly sets** (same edges, same
-//!   nodes, per transition) to the monolithic detector — there are no
-//!   cut edges, so the block solves are the exact per-component solves;
+//! * on multi-component graphs the partitioned detector reports
+//!   **identical anomaly sets** (same edges, same nodes, per
+//!   transition) to the monolithic detector. A component that fits one
+//!   block is solved whole, exactly as the monolithic per-component
+//!   `L⁺` does; a larger one is split and stitched within tolerance;
 //! * on connected graphs split by the BFS partitioner, every edge score
 //!   tracks the monolithic score within the documented
 //!   [`cad_part::PART_REL_TOL`] bound `|part − mono| ≤ TOL·(1 + |mono|)`;
-//! * both contracts hold for the exact and the embedding engines, at 1
-//!   and at 4 worker threads.
+//! * both contracts hold at 1 and at 4 worker threads.
+//!
+//! Other engines have no block formulation and build monolithically
+//! under a partition spec (`cad-part`'s unit tests pin that).
 //!
 //! The anomaly-set comparisons pick δ at the midpoint of the largest
 //! score gap of the *monolithic* run, so a sub-tolerance score wobble
 //! can never flip an edge across the threshold and fail the test for a
 //! reason the contract permits.
 
-use cad_commute::{EmbeddingOptions, EngineOptions, PartitionMode, PartitionSpec};
+use cad_commute::{EngineOptions, PartitionSpec};
 use cad_core::{CadDetector, CadOptions, EdgeScore};
 use cad_graph::{GraphSequence, WeightedGraph};
 use cad_part::PART_REL_TOL;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
-/// The two engines the acceptance contract names. The embedding keeps a
-/// small `k` (same sketch on both sides — the seed is shared) and a
-/// tight CG tolerance so the only daylight between the monolithic CG
-/// solve and the partitioned direct solve is far below `PART_REL_TOL`.
-fn engines() -> Vec<EngineOptions> {
-    let mut solver = cad_linalg::solve::LaplacianSolverOptions::default();
-    solver.cg.tol = 1e-12;
-    vec![
-        EngineOptions::Exact,
-        EngineOptions::Approximate(EmbeddingOptions {
-            k: 8,
-            solver,
-            ..Default::default()
-        }),
-    ]
-}
-
-fn detector(
-    engine: &EngineOptions,
-    threads: usize,
-    partition: Option<PartitionSpec>,
-) -> CadDetector {
+fn detector(threads: usize, partition: Option<PartitionSpec>) -> CadDetector {
     CadDetector::new(CadOptions {
-        engine: *engine,
+        engine: EngineOptions::Exact,
         threads,
         partition,
         ..Default::default()
@@ -143,19 +125,15 @@ fn connected_sequence_strategy() -> impl Strategy<Value = GraphSequence> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Components mode on a multi-component graph is exact: the
-    /// partitioned detector finds the same anomalous edge sets and node
-    /// sets as the monolithic one, for both engines at 1 and 4 threads.
+    /// On a multi-component graph the partitioned detector finds the
+    /// same anomalous edge sets and node sets as the monolithic one, at
+    /// 1 and 4 threads.
     #[test]
     fn components_mode_matches_monolithic_anomaly_sets(seq in disconnected_sequence_strategy()) {
-        let spec = PartitionSpec {
-            blocks: 2,
-            mode: PartitionMode::Components,
-        };
-        for engine in engines() {
-            for threads in [1usize, 4] {
-                let mono = detector(&engine, threads, None);
-                let part = detector(&engine, threads, Some(spec));
+        let spec = PartitionSpec { blocks: 2 };
+        for threads in [1usize, 4] {
+                let mono = detector(threads, None);
+                let part = detector(threads, Some(spec));
                 let delta = gap_midpoint_delta(&mono.score_sequence(&seq).expect("mono scores"));
                 let a = mono.detect(&seq, delta).expect("mono detect");
                 let b = part.detect(&seq, delta).expect("part detect");
@@ -167,30 +145,24 @@ proptest! {
                         tb.edges.iter().map(|e| (e.u, e.v)).collect();
                     prop_assert!(
                         ea == eb,
-                        "edge sets differ at t={}: {ea:?} vs {eb:?} ({engine:?}, {threads} threads)",
+                        "edge sets differ at t={}: {ea:?} vs {eb:?} ({threads} threads)",
                         ta.t
                     );
                     let na: BTreeSet<usize> = ta.nodes.iter().copied().collect();
                     let nb: BTreeSet<usize> = tb.nodes.iter().copied().collect();
                     prop_assert!(na == nb, "node sets differ at t={}: {na:?} vs {nb:?}", ta.t);
                 }
-            }
         }
     }
 
     /// BFS splits of connected graphs track the monolithic scores
-    /// within `PART_REL_TOL`, edge by edge, for both engines at 1 and 4
-    /// threads.
+    /// within `PART_REL_TOL`, edge by edge, at 1 and 4 threads.
     #[test]
     fn bfs_split_scores_within_part_rel_tol(seq in connected_sequence_strategy(), blocks in 2usize..4) {
-        let spec = PartitionSpec {
-            blocks,
-            mode: PartitionMode::Bfs,
-        };
-        for engine in engines() {
-            for threads in [1usize, 4] {
-                let mono = detector(&engine, threads, None);
-                let part = detector(&engine, threads, Some(spec));
+        let spec = PartitionSpec { blocks };
+        for threads in [1usize, 4] {
+                let mono = detector(threads, None);
+                let part = detector(threads, Some(spec));
                 let a = mono.score_sequence(&seq).expect("mono scores");
                 let b = part.score_sequence(&seq).expect("part scores");
                 prop_assert_eq!(a.len(), b.len());
@@ -204,12 +176,11 @@ proptest! {
                         prop_assert!(
                             err <= PART_REL_TOL * (1.0 + mono_score.abs()),
                             "t={t} edge ({}, {}): partitioned {} vs monolithic {} \
-                             (err {err:.3e} > tol, {engine:?}, {blocks} blocks, {threads} threads)",
+                             (err {err:.3e} > tol, {blocks} blocks, {threads} threads)",
                             e.u, e.v, e.score, mono_score
                         );
                     }
                 }
-            }
         }
     }
 }

@@ -224,10 +224,7 @@ fn cache_keys_separate_partition_layouts() {
     assert_eq!(reg.counter(Counter::StoreCacheMisses), seq.len() as u64);
 
     // Same engine, same snapshots, but a partition layout: all misses.
-    let two_blocks = cad_commute::PartitionSpec {
-        blocks: 2,
-        mode: cad_commute::PartitionMode::Bfs,
-    };
+    let two_blocks = cad_commute::PartitionSpec { blocks: 2 };
     let part = CadDetector::new(CadOptions {
         engine: EngineOptions::Exact,
         partition: Some(two_blocks),
@@ -250,10 +247,7 @@ fn cache_keys_separate_partition_layouts() {
     // A different block count is a different layout: all misses again.
     let three_blocks = CadDetector::new(CadOptions {
         engine: EngineOptions::Exact,
-        partition: Some(cad_commute::PartitionSpec {
-            blocks: 3,
-            mode: cad_commute::PartitionMode::Bfs,
-        }),
+        partition: Some(cad_commute::PartitionSpec { blocks: 3 }),
         ..Default::default()
     })
     .with_provider(Arc::clone(&store));

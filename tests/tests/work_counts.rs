@@ -15,8 +15,7 @@
 //! which counts moved and why.
 
 use cad_commute::{
-    CommuteTimeEngine, EdgeDelta, EmbeddingOptions, EngineOptions, PartitionMode, PartitionSpec,
-    UpdateOutcome,
+    CommuteTimeEngine, EdgeDelta, EmbeddingOptions, EngineOptions, PartitionSpec, UpdateOutcome,
 };
 use cad_core::{CadOptions, OnlineCad, ThresholdMode, UpdateMode};
 use cad_datasets::{GmmBenchmark, GmmBenchmarkOptions};
@@ -29,9 +28,9 @@ use std::sync::Arc;
 /// The committed table: one `kind name value` line per counter,
 /// labeled-counter cell and histogram observation count.
 const EXPECTED: &str = "\
-counter linalg.spmv 1440
-counter linalg.cg_solves 60
-counter linalg.cg_iterations 1430
+counter linalg.spmv 1910
+counter linalg.cg_solves 80
+counter linalg.cg_iterations 1900
 counter linalg.jl_projections 80
 counter commute.oracle_builds 29
 counter commute.incremental_updates 73
@@ -41,9 +40,9 @@ counter store.cache_misses 6
 counter store.bytes_read 633638
 counter serve.requests 0
 counter serve.rejected_backpressure 0
-counter part.blocks 16
-counter part.boundary_edges 4916
-counter part.block_solves 16
+counter part.blocks 8
+counter part.boundary_edges 2458
+counter part.block_solves 8
 counter journal.appends 0
 counter journal.bytes_written 0
 counter journal.compactions 0
@@ -55,8 +54,8 @@ labeled commute.rebuild_fallbacks{reason=degenerate} 0
 labeled commute.rebuild_fallbacks{reason=unsupported} 2
 labeled commute.rebuild_fallbacks{reason=refresh} 1
 labeled commute.rebuild_fallbacks{reason=other} 0
-hist cg_iterations 60
-hist cg_residuals 60
+hist cg_iterations 80
+hist cg_residuals 80
 hist oracle_build_secs 29
 hist oracle_update_secs 73
 hist transition_score_secs 80
@@ -139,10 +138,9 @@ fn record(seq: &GraphSequence, threads: usize) -> Arc<Registry> {
         }
     }
 
-    let spec = PartitionSpec {
-        blocks: 4,
-        mode: PartitionMode::Auto,
-    };
+    // The embedding has no block formulation: its partitioned request
+    // builds monolithically.
+    let spec = PartitionSpec { blocks: 4 };
     for (_, engine) in &backends[..2] {
         for g in seq.graphs() {
             PartitionedOracle::build(g, engine, spec, threads).expect("partitioned build");
