@@ -89,36 +89,13 @@ fn access_line(
     Json::obj(fields).compact()
 }
 
-/// Parse one stdin NDJSON snapshot line.
+/// Decode one stdin NDJSON snapshot line with the serve snapshot
+/// decoder; unlike a serve push, the line must carry `nodes`.
 fn graph_from_ndjson(line: &str) -> Result<WeightedGraph, CliError> {
-    let v = cad_obs::parse_json(line)
-        .map_err(|e| CliError::Usage(format!("bad snapshot line: {e}")))?;
-    let n = v
-        .get("nodes")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| CliError::Usage("snapshot needs a `nodes` integer".into()))?;
-    let mut edges = Vec::new();
-    let arr = v
-        .get("edges")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| CliError::Usage("snapshot needs an `edges` array".into()))?;
-    for (i, e) in arr.iter().enumerate() {
-        let triple = e
-            .as_arr()
-            .filter(|t| t.len() == 3)
-            .ok_or_else(|| CliError::Usage(format!("edges[{i}] is not a [u, v, w] triple")))?;
-        let u = triple[0]
-            .as_u64()
-            .ok_or_else(|| CliError::Usage(format!("edges[{i}] endpoint not an integer")))?;
-        let v2 = triple[1]
-            .as_u64()
-            .ok_or_else(|| CliError::Usage(format!("edges[{i}] endpoint not an integer")))?;
-        let w = triple[2]
-            .as_f64()
-            .ok_or_else(|| CliError::Usage(format!("edges[{i}] weight not a number")))?;
-        edges.push((u as usize, v2 as usize, w));
-    }
-    Ok(WeightedGraph::from_edges(n as usize, &edges)?)
+    cad_serve::decode_snapshot(line.as_bytes(), None).map_err(|e| match e {
+        cad_serve::SnapshotError::Malformed(message) => CliError::Usage(message),
+        cad_serve::SnapshotError::Graph(g) => CliError::Graph(g),
+    })
 }
 
 /// One NDJSON event line for a completed transition (no trailing

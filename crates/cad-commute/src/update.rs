@@ -103,9 +103,10 @@ impl<'a> EdgeDelta<'a> {
     /// Diff two snapshots.
     ///
     /// Structural detection: a node-count change is structural outright;
-    /// otherwise the canonical component-id vectors (first-encounter
-    /// order, so directly comparable for a fixed node order) of the two
-    /// graphs are compared.
+    /// otherwise, when some change inserts or removes an edge, the
+    /// canonical component-id vectors (first-encounter order, so
+    /// directly comparable for a fixed node order) of the two graphs
+    /// are compared.
     pub fn between(old: &'a WeightedGraph, new: &'a WeightedGraph) -> EdgeDelta<'a> {
         let mut changes = Vec::new();
         // Both edge iterators are upper-triangle and sorted; merge them.
@@ -169,7 +170,14 @@ impl<'a> EdgeDelta<'a> {
                 }
             }
         }
-        let structural = old.n_nodes() != new.n_nodes() || old.components() != new.components();
+        // Only an insertion or a removal can move the component
+        // partition; a weight-only delta keeps the nonzero pattern, so
+        // the two O(n + m) scans are skipped for it.
+        let structural = old.n_nodes() != new.n_nodes()
+            || (changes
+                .iter()
+                .any(|c| c.old_weight == 0.0 || c.new_weight == 0.0)
+                && old.components() != new.components());
         EdgeDelta {
             old,
             new,
@@ -308,6 +316,25 @@ mod tests {
         // Same components, different grouping: also structural.
         let c = g(4, &[(0, 2, 1.0), (1, 3, 1.0)]);
         assert!(EdgeDelta::between(&b, &c).structural);
+    }
+
+    #[test]
+    fn only_pattern_changes_that_move_components_are_structural() {
+        let a = g(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)]);
+        // Weight-only: every edge keeps a nonzero weight.
+        let reweighted = g(4, &[(0, 1, 7.0), (1, 2, 0.5), (2, 3, 1.0)]);
+        let d = EdgeDelta::between(&a, &reweighted);
+        assert_eq!(d.changes.len(), 2);
+        assert!(!d.structural);
+        // An insertion joining two components is structural.
+        let split = g(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
+        let joined = g(4, &[(0, 1, 1.0), (1, 3, 4.0), (2, 3, 1.0)]);
+        assert!(EdgeDelta::between(&split, &joined).structural);
+        // So is a removal that splits one.
+        assert!(EdgeDelta::between(&joined, &split).structural);
+        // A removal inside a cycle keeps the partition.
+        let cycle = g(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]);
+        assert!(!EdgeDelta::between(&cycle, &a).structural);
     }
 
     #[test]

@@ -274,6 +274,13 @@ impl OnlineCad {
         self.delta
     }
 
+    /// The most recent instance (`None` before the first push): the
+    /// next transition's left operand, and the base a caller diffs the
+    /// next snapshot against.
+    pub fn last_graph(&self) -> Option<&WeightedGraph> {
+        self.prev.as_ref().map(|(g, _)| g)
+    }
+
     /// Feed the next graph instance.
     ///
     /// Returns `None` for the very first instance (no transition yet);

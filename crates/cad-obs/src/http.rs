@@ -164,12 +164,19 @@ pub fn error_body(code: &str, message: &str) -> String {
 }
 
 /// Find the end of the head: the index one past the blank line.
-/// Accepts both `\r\n\r\n` and bare `\n\n` separators.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2))
+/// Accepts both `\r\n\r\n` and bare `\n\n` separators, preferring the
+/// first `\r\n\r\n` anywhere in `buf`. `buf[..scanned]` is known to
+/// hold neither, so only the new bytes (and the few before them that a
+/// separator may straddle) are searched.
+fn head_end(buf: &[u8], scanned: usize) -> Option<usize> {
+    let find = |sep: &[u8]| {
+        let from = scanned.saturating_sub(sep.len() - 1);
+        buf[from..]
+            .windows(sep.len())
+            .position(|w| w == sep)
+            .map(|i| from + i + sep.len())
+    };
+    find(b"\r\n\r\n").or_else(|| find(b"\n\n"))
 }
 
 /// Read one request from `stream`, honouring `limits`.
@@ -177,7 +184,9 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 /// Applies the read/write timeouts to the socket, buffers the head
 /// across arbitrarily fragmented writes up to the head cap, validates
 /// the request line, parses headers, and reads exactly the declared
-/// `Content-Length` bytes of body (zero without the header).
+/// `Content-Length` bytes of body (zero without the header). Bytes past
+/// the body that arrived with the head are rejected; bytes the peer
+/// sends after the body stay on the socket for the next request.
 pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, ReadError> {
     stream
         .set_read_timeout(limits.read_timeout)
@@ -188,10 +197,12 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
 
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
+    let mut scanned = 0;
     let split = loop {
-        if let Some(end) = head_end(&buf) {
+        if let Some(end) = head_end(&buf, scanned) {
             break end;
         }
+        scanned = buf.len();
         if buf.len() > limits.max_head_bytes {
             return Err(ReadError::HeadTooLarge);
         }
@@ -249,19 +260,23 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         return Err(ReadError::BodyTooLarge(content_length));
     }
 
-    let mut body = rest.to_vec();
-    while (body.len() as u64) < content_length {
-        let got = stream.read(&mut chunk).map_err(ReadError::Io)?;
-        if got == 0 {
-            return Err(ReadError::Bad("connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&chunk[..got]);
-    }
-    if body.len() as u64 > content_length {
+    if rest.len() as u64 > content_length {
         // Pipelined extra bytes are not supported; better to reject
         // loudly than to silently desynchronise the connection.
         return Err(ReadError::Bad("body longer than content-length".into()));
     }
+    // The length is capped above, so the buffer is too; the rest of
+    // the body arrives in one `read_exact`.
+    let mut body = vec![0u8; content_length as usize];
+    body[..rest.len()].copy_from_slice(rest);
+    stream
+        .read_exact(&mut body[rest.len()..])
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => {
+                ReadError::Bad("connection closed mid-body".into())
+            }
+            _ => ReadError::Io(e),
+        })?;
 
     let connection = headers
         .iter()
@@ -490,6 +505,53 @@ mod tests {
         })
         .expect_err("mid-head close");
         assert!(matches!(err, ReadError::Bad(_)), "{err:?}");
+    }
+
+    #[test]
+    fn head_end_finds_separators_straddling_the_scanned_prefix() {
+        for buf in [
+            &b"GET / HTTP/1.1\r\nHost: x\r\n\r\nbody"[..],
+            b"GET / HTTP/1.1\nHost: x\n\nbody",
+            // `\r\n\r\n` anywhere wins over an earlier bare `\n\n`.
+            b"GET / HTTP/1.1\n\nx\r\n\r\n",
+        ] {
+            let full = head_end(buf, 0).expect("a separator");
+            // Valid prefixes hold no whole separator.
+            for scanned in 0..full - 1 {
+                if head_end(&buf[..scanned], 0).is_none() {
+                    assert_eq!(head_end(buf, scanned), Some(full), "{scanned}");
+                }
+            }
+        }
+        assert_eq!(head_end(b"GET / HTTP/1.1\r\nHost: x\r\n", 0), None);
+    }
+
+    #[test]
+    fn close_mid_body_is_bad_request() {
+        let err = with_connection(tight(), |mut s| {
+            s.write_all(b"POST / HTTP/1.1\r\nContent-Length: 40\r\n\r\nonly ten b")
+                .unwrap();
+        })
+        .expect_err("mid-body close");
+        assert!(
+            matches!(&err, ReadError::Bad(m) if m == "connection closed mid-body"),
+            "{err:?}"
+        );
+        assert_eq!(status_for(&err), Some(400));
+    }
+
+    #[test]
+    fn body_split_from_its_head_arrives_whole() {
+        let body = b"0123456789".repeat(6);
+        let req = with_connection(tight(), move |mut s| {
+            s.write_all(b"POST /v1/x HTTP/1.1\r\nContent-Length: 60\r\n\r\n0123")
+                .unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            s.write_all(&body[4..]).unwrap();
+        })
+        .expect("request");
+        assert_eq!(req.body, b"0123456789".repeat(6));
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! policy). This module implements the subset of JSON the report schema
 //! needs: objects preserve insertion order so emitted reports are
 //! byte-stable for a given [`Json`] value, numbers are `f64` (with
-//! integral values printed without a fractional part), and the parser is
-//! a straightforward recursive-descent over the full JSON grammar, with
-//! nesting capped at [`MAX_DEPTH`] so hostile input cannot exhaust the
-//! stack.
+//! integral values printed without a fractional part). One tokenizer,
+//! the pull [`Reader`], reads the full JSON grammar with nesting capped
+//! at [`MAX_DEPTH`] so hostile input cannot exhaust the stack; [`parse`]
+//! builds a tree on it, and callers that know their schema (the serve
+//! snapshot decoder) walk it directly without one.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep insertion order for stable output.
@@ -219,51 +221,112 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Deepest array/object nesting [`parse`] accepts. Each level costs a
-/// few recursive stack frames, so deeper documents are rejected rather
-/// than allowed to overflow a default-sized thread stack.
+/// Deepest array/object nesting a [`Reader`] (and so [`parse`])
+/// accepts. [`parse`] and [`Reader::skip_value`] recurse once per
+/// level, so deeper documents are rejected rather than allowed to
+/// overflow a default-sized thread stack.
 pub const MAX_DEPTH: usize = 128;
 
 /// Parse a JSON document. Errors carry a byte offset and description.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
+    let mut r = Reader::new(text);
+    let value = read_value(&mut r)?;
+    r.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+fn read_value(r: &mut Reader) -> Result<Json, String> {
+    Ok(match r.peek()? {
+        Kind::Object => {
+            r.begin_object()?;
+            let mut pairs = Vec::new();
+            while let Some(key) = r.next_key()? {
+                pairs.push((key.into_owned(), read_value(r)?));
+            }
+            Json::Obj(pairs)
+        }
+        Kind::Array => {
+            r.begin_array()?;
+            let mut items = Vec::new();
+            while r.next_element()? {
+                items.push(read_value(r)?);
+            }
+            Json::Arr(items)
+        }
+        Kind::String => Json::Str(r.string()?.into_owned()),
+        Kind::Number => Json::Num(r.number()?),
+        Kind::Bool => Json::Bool(r.bool()?),
+        Kind::Null => {
+            r.null()?;
+            Json::Null
+        }
+    })
+}
+
+/// What the next value in a [`Reader`] is, judged by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `{`.
+    Object,
+    /// `[`.
+    Array,
+    /// `"`.
+    String,
+    /// `-` or a digit.
+    Number,
+    /// `t` or `f`.
+    Bool,
+    /// `n`.
+    Null,
+}
+
+/// A pull reader over one JSON document: the caller walks the values
+/// it wants and skips the rest, so no [`Json`] tree is built.
+///
+/// The protocol: [`Reader::peek`] names the next value; read it with
+/// the matching method ([`Reader::number`], [`Reader::string`], ...),
+/// skip it with [`Reader::skip_value`], or open it with
+/// [`Reader::begin_object`]/[`Reader::begin_array`] and then call
+/// [`Reader::next_key`]/[`Reader::next_element`] before every member
+/// until they report the close. [`Reader::finish`] rejects trailing
+/// content. Every error is a syntax error, most with a byte offset,
+/// worded as [`parse`] words it: `parse` is this walk building a tree.
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays/objects currently open.
     depth: usize,
+    /// Set when a container was just opened: its first member has no
+    /// leading comma.
+    first: bool,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document's one value.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            first: false,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    #[inline]
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.byte() {
+            self.pos += 1;
+        }
     }
 
+    #[inline]
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -271,29 +334,18 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_DEPTH} at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+    /// The kind of the next value; an error when no value can start
+    /// here.
+    #[inline]
+    pub fn peek(&mut self) -> Result<Kind, String> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'n') => Ok(Kind::Null),
             Some(other) => Err(format!(
                 "unexpected byte `{}` at {}",
                 other as char, self.pos
@@ -302,43 +354,136 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
+    /// Open the object that is the next value.
+    #[inline]
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.open(b'{')
     }
 
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+    /// Open the array that is the next value.
+    #[inline]
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.open(b'[')
+    }
+
+    #[inline]
+    fn open(&mut self, bracket: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.byte() == Some(bracket) && self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Step to the next member of the innermost open object: its key,
+    /// with the reader left at the member's value, or `None` once the
+    /// closing `}` is consumed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Step to the next element of the innermost open array: `true`
+    /// with the reader left at the element, `false` once the closing
+    /// `]` is consumed.
+    #[inline]
+    pub fn next_element(&mut self) -> Result<bool, String> {
+        self.more(b']')
+    }
+
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte() {
+            Some(b) if b == close => {
                 self.pos += 1;
-            } else {
-                break;
+                self.depth -= 1;
+                Ok(false)
             }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            )),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Read the number that is the next value: the `f64` that
+    /// `str::parse::<f64>` gives its token.
+    #[inline]
+    pub fn number(&mut self) -> Result<f64, String> {
+        self.skip_ws();
+        let start = self.pos;
+        while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.byte() {
+            self.pos += 1;
+        }
+        let token = &self.text[start..self.pos];
+        // At most 15 digits make an integer below 2^53, which an `f64`
+        // holds exactly, so summing the digits gives the same bits as
+        // `str::parse` (which is correctly rounded), `-0` included.
+        let digits = token.strip_prefix('-').unwrap_or(token);
+        if (1..=15).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+            let v = digits
+                .bytes()
+                .fold(0u64, |acc, b| acc * 10 + u64::from(b - b'0')) as f64;
+            return Ok(if digits.len() < token.len() { -v } else { v });
+        }
+        token
+            .parse::<f64>()
+            .map_err(|_| format!("invalid number `{token}` at byte {start}"))
+    }
+
+    /// Read the string that is the next value, borrowed from the input
+    /// unless it holds escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
+            // Plain runs end at an ASCII byte, so every slice below
+            // falls on a char boundary.
+            while let Some(&b) = bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' {
+                    break;
+                }
+                self.pos += 1;
+            }
+            let plain = &self.text[run..self.pos];
+            match self.byte() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(plain),
+                        Some(mut s) => {
+                            s.push_str(plain);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
-                Some(b'\\') => {
+                _ => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(plain);
                     self.pos += 1;
-                    match self.peek() {
+                    match self.byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -348,8 +493,7 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            let hex = bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(
@@ -363,68 +507,71 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    run = self.pos;
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn literal(&mut self, word: &str) -> bool {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+        let hit = self.text.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if hit {
+            self.pos += word.len();
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
+        hit
+    }
+
+    /// Read the `true`/`false` that is the next value.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        if self.literal("true") {
+            Ok(true)
+        } else if self.literal("false") {
+            Ok(false)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
+    /// Read the `null` that is the next value.
+    pub fn null(&mut self) -> Result<(), String> {
+        if self.literal("null") {
+            Ok(())
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+    }
+
+    /// Skip the next value, checking its syntax all the same.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek()? {
+            Kind::Object => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
                 }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
+            Kind::Array => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip_value()?;
+                }
+            }
+            Kind::String => drop(self.string()?),
+            Kind::Number => drop(self.number()?),
+            Kind::Bool => drop(self.bool()?),
+            Kind::Null => self.null()?,
+        }
+        Ok(())
+    }
+
+    /// End the document: only whitespace may follow its value.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing content at byte {}", self.pos))
         }
     }
 }
@@ -506,7 +653,18 @@ mod tests {
 
     #[test]
     fn parser_rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "[1,]",
+            "[1,,2]",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }

@@ -210,10 +210,9 @@ pub struct RecoveredSession {
     pub spec: SessionSpec,
     /// The spec JSON as journaled (re-used for future checkpoints).
     pub spec_json: String,
-    /// The detector, advanced through every journaled push.
+    /// The detector, advanced through every journaled push; it holds
+    /// the latest snapshot, the base for the next edge-delta body.
     pub online: OnlineCad,
-    /// The latest snapshot (the base for the next edge-delta body).
-    pub current: Option<WeightedGraph>,
     /// Snapshots accepted before the crash.
     pub instances: usize,
 }
@@ -240,29 +239,28 @@ pub fn replay(
         }
         Ok(online)
     };
-    let (spec_json, spec, mut online, mut current, mut instances) = match first.kind {
+    let (spec_json, spec, mut online, mut instances) = match first.kind {
         RecordKind::Create => {
             let spec_json = String::from_utf8(first.payload.clone())
                 .map_err(|_| "create record is not UTF-8".to_string())?;
             let spec =
                 parse_spec(spec_json.as_bytes()).map_err(|e| format!("create record: {e}"))?;
             let online = build(&spec)?;
-            (spec_json, spec, online, None, 0usize)
+            (spec_json, spec, online, 0usize)
         }
         RecordKind::Checkpoint => {
             let (spec_json, state) = decode_checkpoint(&first.payload)?;
             let spec =
                 parse_spec(spec_json.as_bytes()).map_err(|e| format!("checkpoint spec: {e}"))?;
             let online = build(&spec)?;
-            let current = state.prev_graph.clone();
-            // `seen` counts transitions; the first push produced none,
-            // so a session with a snapshot has accepted one more
-            // instance than it has transitions.
-            let instances = state.seen + usize::from(current.is_some());
             let online = online
                 .resume(state)
                 .map_err(|e| format!("checkpoint resume: {e}"))?;
-            (spec_json, spec, online, current, instances)
+            // `seen` counts transitions; the first push produced none,
+            // so a session with a snapshot has accepted one more
+            // instance than it has transitions.
+            let instances = online.n_transitions() + usize::from(online.last_graph().is_some());
+            (spec_json, spec, online, instances)
         }
         other => return Err(format!("journal starts with a {} record", other.name())),
     };
@@ -271,7 +269,7 @@ pub fn replay(
             RecordKind::Delta => {
                 let edges = cad_store::decode_edge_delta(&r.payload)
                     .map_err(|e| format!("delta record: {e}"))?;
-                let g = match &current {
+                let g = match online.last_graph() {
                     Some(base) => cad_store::apply_edge_delta(base, &edges),
                     None => {
                         let empty = WeightedGraph::from_edges(spec.n_nodes, &[])
@@ -281,9 +279,8 @@ pub fn replay(
                 }
                 .map_err(|e| format!("delta record: {e}"))?;
                 online
-                    .push_metered(g.clone())
+                    .push_metered(g)
                     .map_err(|e| format!("replayed push rejected: {e}"))?;
-                current = Some(g);
                 instances += 1;
             }
             other => return Err(format!("unexpected {} record mid-journal", other.name())),
@@ -294,7 +291,6 @@ pub fn replay(
         spec,
         spec_json,
         online,
-        current,
         instances,
     })
 }

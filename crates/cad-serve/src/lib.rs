@@ -17,6 +17,8 @@
 //!   push snapshots (JSON edge lists or binary `.cadpack` edge deltas),
 //!   query status, delete, `/healthz`, `/metrics`, and the
 //!   `POST /v1/shutdown` drain trigger;
+//! * [`snapshot`] — the one-pass JSON snapshot decoder the snapshot
+//!   endpoint and `cad watch` share;
 //! * [`server`] — the threads: one accept loop feeding a **bounded**
 //!   queue (overflow is shed as `503` + `Retry-After`, counted in
 //!   `serve.rejected_backpressure`), a fixed worker pool running
@@ -34,8 +36,10 @@ pub mod journal;
 pub mod router;
 pub mod server;
 pub mod session;
+pub mod snapshot;
 
 pub use journal::{recover_all, replay, spec_to_json, RecoveredSession};
 pub use router::{graph_error_code, route, Response, RouterCtx, DELTA_CONTENT_TYPE};
 pub use server::{AccessLog, ServeConfig, Server, Shutdown};
 pub use session::{parse_spec, Session, SessionMap, SessionSpec, TokenBucket};
+pub use snapshot::{decode_snapshot, SnapshotError};

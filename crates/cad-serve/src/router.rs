@@ -25,6 +25,7 @@
 
 use crate::server::Shutdown;
 use crate::session::{parse_spec, CreateError, Session, SessionMap};
+use crate::snapshot::{decode_snapshot, SnapshotError};
 use cad_commute::OracleProvider;
 use cad_core::{OnlineStepMetrics, StepOracle, TransitionAnomalies};
 use cad_graph::{GraphError, WeightedGraph};
@@ -191,73 +192,20 @@ pub fn graph_error_code(e: &GraphError) -> (u16, &'static str) {
     }
 }
 
-/// Parse a JSON edge-list snapshot `{"nodes": N, "edges": [[u, v, w],
-/// ...]}`. `nodes` may be omitted — the session's vertex-set size is
-/// used — but when present it must match exactly.
+/// Decode a JSON edge-list snapshot ([`crate::snapshot`]) for a session
+/// of `session_nodes` vertices.
 #[allow(clippy::result_large_err)] // the Err is a cold bad-request path
 fn snapshot_from_json(body: &[u8], session_nodes: usize) -> Result<WeightedGraph, Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Response::error(400, "bad_request", "snapshot body is not UTF-8"))?;
-    let v = cad_obs::parse_json(text)
-        .map_err(|e| Response::error(400, "bad_request", &format!("snapshot is not JSON: {e}")))?;
-    let n = match v.get("nodes") {
-        Some(j) => j.as_u64().ok_or_else(|| {
-            Response::error(400, "bad_request", "`nodes` must be a non-negative integer")
-        })? as usize,
-        None => session_nodes,
-    };
-    if n != session_nodes {
-        let e = GraphError::MixedNodeCounts {
-            expected: session_nodes,
-            found: n,
-            at: 0,
-        };
-        let (status, code) = graph_error_code(&e);
-        return Err(Response::error(status, code, &e.to_string()));
-    }
-    let arr = v
-        .get("edges")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| Response::error(400, "bad_request", "snapshot needs an `edges` array"))?;
-    let mut edges = Vec::with_capacity(arr.len());
-    for (i, e) in arr.iter().enumerate() {
-        let triple = e.as_arr().filter(|t| t.len() == 3).ok_or_else(|| {
-            Response::error(
-                400,
-                "bad_request",
-                &format!("edges[{i}] is not a [u, v, w] triple"),
-            )
-        })?;
-        let u = triple[0].as_u64().ok_or_else(|| {
-            Response::error(
-                400,
-                "bad_request",
-                &format!("edges[{i}] endpoint not an integer"),
-            )
-        })?;
-        let v2 = triple[1].as_u64().ok_or_else(|| {
-            Response::error(
-                400,
-                "bad_request",
-                &format!("edges[{i}] endpoint not an integer"),
-            )
-        })?;
-        let w = triple[2].as_f64().ok_or_else(|| {
-            Response::error(
-                400,
-                "bad_request",
-                &format!("edges[{i}] weight not a number"),
-            )
-        })?;
-        edges.push((u as usize, v2 as usize, w));
-    }
-    WeightedGraph::from_edges(n, &edges).map_err(|e| {
-        let (status, code) = graph_error_code(&e);
-        Response::error(status, code, &e.to_string())
+    decode_snapshot(body, Some(session_nodes)).map_err(|e| match e {
+        SnapshotError::Malformed(message) => Response::error(400, "bad_request", &message),
+        SnapshotError::Graph(g) => {
+            let (status, code) = graph_error_code(&g);
+            Response::error(status, code, &g.to_string())
+        }
     })
 }
 
-/// Decode a binary edge-delta body against the session's current
+/// Decode a binary edge-delta body against the session's latest
 /// snapshot.
 #[allow(clippy::result_large_err)] // the Err is a cold bad-request path
 fn snapshot_from_delta(
@@ -344,7 +292,7 @@ fn push_snapshot(req: &Request, session: &Session) -> Response {
         .header("content-type")
         .is_some_and(|ct| ct.split(';').next().map(str::trim) == Some(DELTA_CONTENT_TYPE));
     let g = if is_delta {
-        snapshot_from_delta(&req.body, inner.current.as_ref())
+        snapshot_from_delta(&req.body, inner.online.last_graph())
     } else {
         snapshot_from_json(&req.body, session.n_nodes)
     };
@@ -352,23 +300,26 @@ fn push_snapshot(req: &Request, session: &Session) -> Response {
         Ok(g) => g,
         Err(resp) => return resp,
     };
-    match inner.online.push_metered(g.clone()) {
+    // The journal delta is encoded from the session's own previous
+    // snapshot before the detector takes the new one, so JSON and
+    // binary bodies journal identically.
+    let journal_delta = inner
+        .journal
+        .as_ref()
+        .map(|_| match inner.online.last_graph() {
+            Some(base) => cad_store::encode_edge_delta(base, &g),
+            None => {
+                let empty = WeightedGraph::from_edges(session.n_nodes, &[])
+                    .expect("empty graph is always valid");
+                cad_store::encode_edge_delta(&empty, &g)
+            }
+        });
+    match inner.online.push_metered(g) {
         Ok((tr, m)) => {
             // Journal the accepted push before the response exists: a
             // crash after the append replays this instance; a crash
-            // before it never acknowledged the push. The delta is
-            // re-encoded from the session's own previous snapshot, so
-            // JSON and binary bodies journal identically.
-            if inner.journal.is_some() {
-                let delta = match &inner.current {
-                    Some(base) => cad_store::encode_edge_delta(base, &g),
-                    None => {
-                        let empty = WeightedGraph::from_edges(session.n_nodes, &[])
-                            .expect("empty graph is always valid");
-                        cad_store::encode_edge_delta(&empty, &g)
-                    }
-                };
-                let journal = inner.journal.as_mut().expect("checked above");
+            // before it never acknowledged the push.
+            if let (Some(journal), Some(delta)) = (inner.journal.as_mut(), journal_delta) {
                 if let Err(e) = journal.append(cad_journal::RecordKind::Delta, &delta) {
                     let mut resp = Response::error(
                         500,
@@ -379,7 +330,6 @@ fn push_snapshot(req: &Request, session: &Session) -> Response {
                     return resp;
                 }
             }
-            inner.current = Some(g);
             inner.instances += 1;
             let mut fields = vec![
                 ("id", num(session.id as usize)),

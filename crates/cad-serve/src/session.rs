@@ -10,7 +10,6 @@
 
 use cad_commute::{EmbeddingOptions, EngineOptions, OracleProvider, PartitionSpec};
 use cad_core::{CadOptions, OnlineCad, ScoreKind, ThresholdMode, UpdateMode};
-use cad_graph::WeightedGraph;
 use cad_journal::{JournalConfig, RecordKind, SessionJournal};
 use cad_obs::{Gauge, Json};
 use std::collections::HashMap;
@@ -241,11 +240,10 @@ impl TokenBucket {
 
 /// The mutable core of one session, guarded by the session mutex.
 pub struct SessionInner {
-    /// The streaming detector.
+    /// The streaming detector. It also holds the latest accepted
+    /// snapshot ([`OnlineCad::last_graph`]), the base an edge-delta
+    /// body applies to.
     pub online: OnlineCad,
-    /// Latest accepted snapshot — the base an edge-delta body applies
-    /// to (`None` until the first snapshot).
-    pub current: Option<WeightedGraph>,
     /// Snapshots accepted so far.
     pub instances: usize,
     /// Last create/push/status touch, for the idle-TTL sweeper.
@@ -412,7 +410,6 @@ impl SessionMap {
             label: spec.label,
             inner: Mutex::new(SessionInner {
                 online,
-                current: None,
                 instances: 0,
                 last_used: Instant::now(),
                 journal,
@@ -450,7 +447,6 @@ impl SessionMap {
             label: rs.spec.label,
             inner: Mutex::new(SessionInner {
                 online: rs.online,
-                current: rs.current,
                 instances: rs.instances,
                 last_used: Instant::now(),
                 journal: Some(journal),
