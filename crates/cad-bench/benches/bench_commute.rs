@@ -7,11 +7,13 @@
 //! store, a block-partitioned exact build, and an in-place weight-only
 //! delta update. The partitioned comparison adds sparse points: a
 //! 50×50 grid, which has small BFS cuts, and a disconnected random
-//! graph with m = n.
+//! graph with m = n. The update comparison adds a sweep over the delta
+//! size `k` at n = 200, 300 and 400 for the exact engine, the
+//! measurement behind the online detector's update-or-rebuild price.
 
 use cad_commute::{
     CommuteEmbedding, CommuteTimeEngine, EdgeDelta, EmbeddingOptions, EngineOptions, ExactCommute,
-    PartitionSpec,
+    PartitionSpec, UpdatableOracle,
 };
 use cad_datasets::{GmmBenchmark, GmmBenchmarkOptions};
 use cad_graph::generators::gmm::{sample_gmm, similarity_graph, GmmParams};
@@ -198,16 +200,24 @@ fn bench_partitioned_vs_monolithic(c: &mut Criterion) {
     grp.finish();
 }
 
+/// `g` with `k` edge weights scaled by 1.2, spread evenly over the edge
+/// list: a weight-only delta of exactly `k` changes.
+fn reweighted(g: &WeightedGraph, k: usize) -> WeightedGraph {
+    let m = g.n_edges();
+    assert!(k <= m, "{k} changes on {m} edges");
+    let edges: Vec<(usize, usize, f64)> = g
+        .edges()
+        .enumerate()
+        .map(|(i, (u, v, w))| (u, v, if (i * k) % m < k { w * 1.2 } else { w }))
+        .collect();
+    WeightedGraph::from_edges(g.n_nodes(), &edges).expect("reweighted")
+}
+
 fn bench_update_vs_rebuild(c: &mut Criterion) {
     let g = gmm_instance();
     // Scale every fifth edge weight: the small weight-only delta an
     // incremental stream sees.
-    let edges: Vec<(usize, usize, f64)> = g
-        .edges()
-        .enumerate()
-        .map(|(i, (u, v, w))| (u, v, if i % 5 == 0 { w * 1.2 } else { w }))
-        .collect();
-    let perturbed = WeightedGraph::from_edges(g.n_nodes(), &edges).expect("perturbed");
+    let perturbed = reweighted(&g, g.n_edges().div_ceil(5));
     let delta = EdgeDelta::between(&g, &perturbed);
     assert!(!delta.structural, "weight-only perturbation");
     let mut grp = c.benchmark_group("update_vs_rebuild_n300");
@@ -232,6 +242,34 @@ fn bench_update_vs_rebuild(c: &mut Criterion) {
         });
     }
     grp.finish();
+
+    // The exact path's price: a clone plus `k` Sherman–Morrison steps
+    // (about k·n²) against a cold `laplacian_pinv` build (about n³),
+    // sweeping `k` in multiples of n/8. Where the two cross, as a
+    // multiple of n, is `SM_REBUILD_CHANGES_PER_NODE`.
+    for n in [200, 300, 400] {
+        let g = kernel_graph(n);
+        let base = ExactCommute::compute(&g).expect("base oracle");
+        let mut grp = c.benchmark_group(format!("update_vs_rebuild_k_sweep_n{n}"));
+        grp.sample_size(10);
+        grp.bench_function("cold_build", |b| {
+            b.iter(|| ExactCommute::compute(black_box(&g)).expect("cold"))
+        });
+        for eighths in 1..=10 {
+            let k = eighths * n / 8;
+            let next = reweighted(&g, k);
+            let delta = EdgeDelta::between(&g, &next);
+            assert_eq!(delta.changes.len(), k);
+            grp.bench_function(format!("clone_apply_k{k}"), |b| {
+                b.iter(|| {
+                    let mut oracle = base.clone();
+                    oracle.apply_delta(&delta).expect("apply_delta");
+                    oracle
+                })
+            });
+        }
+        grp.finish();
+    }
 }
 
 criterion_group!(

@@ -48,6 +48,11 @@ impl CorrectedCommute {
         &self.build_stats
     }
 
+    /// The inner exact oracle.
+    pub(crate) fn exact(&self) -> &ExactCommute {
+        &self.exact
+    }
+
     /// Serialization view: `(inner exact oracle, degrees, adjacency)`.
     pub(crate) fn persist_parts(&self) -> (&ExactCommute, &[f64], &cad_linalg::CsrMatrix) {
         (&self.exact, &self.degrees, &self.adjacency)

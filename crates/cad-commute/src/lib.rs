@@ -50,7 +50,7 @@ pub use persist::{oracle_from_bytes, oracle_to_bytes};
 pub use shortest::ShortestPathTable;
 pub use update::{
     EdgeChange, EdgeDelta, RebuildReason, UpdatableOracle, UpdateOutcome, SM_DEN_TOL,
-    UPDATE_REL_TOL,
+    SM_REBUILD_CHANGES_PER_NODE, UPDATE_REL_TOL,
 };
 
 /// Crate-wide result alias (errors come from the graph/linalg layers).

@@ -18,7 +18,7 @@ use crate::corrected::CorrectedCommute;
 use crate::embedding::CommuteEmbedding;
 use crate::exact::ExactCommute;
 use crate::shortest::ShortestPathTable;
-use crate::update::UpdatableOracle;
+use crate::update::{UpdatableOracle, SM_REBUILD_CHANGES_PER_NODE};
 
 /// Which backend a [`DistanceOracle`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,6 +132,15 @@ pub trait DistanceOracle: Send + Sync {
         None
     }
 
+    /// Whether folding a delta of `changes` edge changes into this
+    /// oracle in place costs at least as much as building it fresh.
+    /// Online callers ask before cloning the oracle for
+    /// [`UpdatableOracle::apply_delta`], and rebuild on `true`. The
+    /// default (`false`) always takes the update.
+    fn rebuild_is_cheaper(&self, _changes: usize) -> bool {
+        false
+    }
+
     /// Layout facts for block-partitioned oracles (`cad-part`'s
     /// `PartitionedOracle`): realised block count and edge-cut size.
     /// Monolithic backends — everything in this crate — report `None`.
@@ -186,6 +195,16 @@ impl DistanceOracle for ExactCommute {
 
     fn as_updatable(&mut self) -> Option<&mut dyn UpdatableOracle> {
         Some(self)
+    }
+
+    /// `changes` Sherman–Morrison steps on this `L⁺` (about
+    /// `changes · n²` flops, plus the O(n²) clone) against a fresh
+    /// `laplacian_pinv` (about `n³`, an upper bound when the graph has
+    /// several components): rebuild when `changes ≥ c · n` with
+    /// `c =` [`SM_REBUILD_CHANGES_PER_NODE`]. A tie rebuilds, which gives
+    /// the batch bits and resets the update drift.
+    fn rebuild_is_cheaper(&self, changes: usize) -> bool {
+        changes as f64 >= SM_REBUILD_CHANGES_PER_NODE * ExactCommute::n_nodes(self) as f64
     }
 }
 
@@ -295,6 +314,12 @@ impl DistanceOracle for CorrectedCommute {
 
     fn as_updatable(&mut self) -> Option<&mut dyn UpdatableOracle> {
         Some(self)
+    }
+
+    /// The update is the inner exact oracle's `L⁺` steps, priced there;
+    /// the degree and adjacency refresh is O(n + m) either way.
+    fn rebuild_is_cheaper(&self, changes: usize) -> bool {
+        DistanceOracle::rebuild_is_cheaper(self.exact(), changes)
     }
 }
 

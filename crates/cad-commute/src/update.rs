@@ -52,6 +52,19 @@ use cad_graph::WeightedGraph;
 /// bridge-edge removal) and the update falls back to a rebuild.
 pub const SM_DEN_TOL: f64 = 1e-9;
 
+/// Edge changes per node at which updating a dense `L⁺` in place costs
+/// as much as rebuilding it: `k` Sherman–Morrison steps cost about
+/// `k·n²`, a `laplacian_pinv` build about `n³`, so the two cross at
+/// `k = c·n`. Measured by the `update_vs_rebuild_k_sweep_n{200,300,400}`
+/// groups of `cad-bench/benches/bench_commute.rs` (a clone plus `k`
+/// updates against a cold build, `k` in steps of n/8; EXPERIMENTS.md,
+/// "Update or rebuild"): two sweeps on 2 vCPUs put the crossover
+/// between 0.56·n and 0.68·n, and `c = 2/3` lies inside that band. No
+/// serving workload sits near the line (k ≤ 3 on n = 300, k ≈ 500 on
+/// n = 200). Priced by the exact oracle's
+/// [`crate::DistanceOracle::rebuild_is_cheaper`].
+pub const SM_REBUILD_CHANGES_PER_NODE: f64 = 2.0 / 3.0;
+
 /// Documented agreement bound between an incrementally-updated oracle
 /// and a fresh batch build of the same snapshot (see the module docs):
 /// `|d_upd(i,j) − d_fresh(i,j)| ≤ UPDATE_REL_TOL · (1 + d_fresh(i,j))`.
@@ -109,67 +122,16 @@ impl<'a> EdgeDelta<'a> {
     /// are compared.
     pub fn between(old: &'a WeightedGraph, new: &'a WeightedGraph) -> EdgeDelta<'a> {
         let mut changes = Vec::new();
-        // Both edge iterators are upper-triangle and sorted; merge them.
-        let mut olds = old.edges().peekable();
-        let mut news = new.edges().peekable();
-        loop {
-            match (olds.peek().copied(), news.peek().copied()) {
-                (None, None) => break,
-                (Some((u, v, w)), None) => {
-                    changes.push(EdgeChange {
-                        u,
-                        v,
-                        old_weight: w,
-                        new_weight: 0.0,
-                    });
-                    olds.next();
-                }
-                (None, Some((u, v, w))) => {
-                    changes.push(EdgeChange {
-                        u,
-                        v,
-                        old_weight: 0.0,
-                        new_weight: w,
-                    });
-                    news.next();
-                }
-                (Some((ou, ov, ow)), Some((nu, nv, nw))) => {
-                    use std::cmp::Ordering;
-                    match (ou, ov).cmp(&(nu, nv)) {
-                        Ordering::Less => {
-                            changes.push(EdgeChange {
-                                u: ou,
-                                v: ov,
-                                old_weight: ow,
-                                new_weight: 0.0,
-                            });
-                            olds.next();
-                        }
-                        Ordering::Greater => {
-                            changes.push(EdgeChange {
-                                u: nu,
-                                v: nv,
-                                old_weight: 0.0,
-                                new_weight: nw,
-                            });
-                            news.next();
-                        }
-                        Ordering::Equal => {
-                            if ow != nw {
-                                changes.push(EdgeChange {
-                                    u: ou,
-                                    v: ov,
-                                    old_weight: ow,
-                                    new_weight: nw,
-                                });
-                            }
-                            olds.next();
-                            news.next();
-                        }
-                    }
-                }
+        old.for_each_edge_pair(new, |u, v, old_weight, new_weight| {
+            if old_weight != new_weight {
+                changes.push(EdgeChange {
+                    u,
+                    v,
+                    old_weight,
+                    new_weight,
+                });
             }
-        }
+        });
         // Only an insertion or a removal can move the component
         // partition; a weight-only delta keeps the nonzero pattern, so
         // the two O(n + m) scans are skipped for it.
@@ -206,6 +168,10 @@ pub enum RebuildReason {
     /// The accumulated update count crossed the caller's refresh
     /// threshold (emitted by `cad_core`, not by the oracles).
     Refresh,
+    /// The oracle priced the in-place update above a fresh build
+    /// ([`crate::DistanceOracle::rebuild_is_cheaper`]; emitted by
+    /// `cad_core` before it clones the held oracle).
+    Cost,
 }
 
 impl RebuildReason {
@@ -216,6 +182,7 @@ impl RebuildReason {
             RebuildReason::Degenerate => "degenerate",
             RebuildReason::Unsupported => "unsupported",
             RebuildReason::Refresh => "refresh",
+            RebuildReason::Cost => "cost",
         }
     }
 }
@@ -343,5 +310,6 @@ mod tests {
         assert_eq!(RebuildReason::Degenerate.name(), "degenerate");
         assert_eq!(RebuildReason::Unsupported.name(), "unsupported");
         assert_eq!(RebuildReason::Refresh.name(), "refresh");
+        assert_eq!(RebuildReason::Cost.name(), "cost");
     }
 }

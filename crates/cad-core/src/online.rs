@@ -28,9 +28,11 @@ pub enum UpdateMode {
     Rebuild,
     /// Update the previous oracle in place from the edge delta
     /// ([`cad_commute::UpdatableOracle`]); falls back to a fresh build
-    /// when the backend declines (structural delta, degenerate
-    /// denominator, unsupported backend). Results agree with rebuild
-    /// within [`cad_commute::UPDATE_REL_TOL`].
+    /// when the oracle prices the update above a rebuild
+    /// ([`cad_commute::DistanceOracle::rebuild_is_cheaper`]) or the
+    /// backend declines (structural delta, degenerate denominator,
+    /// unsupported backend). Results agree with rebuild within
+    /// [`cad_commute::UPDATE_REL_TOL`].
     Incremental,
     /// [`UpdateMode::Incremental`], plus a forced fresh build every
     /// [`REFRESH_THRESHOLD`] consecutive updates to cap accumulated
@@ -117,8 +119,8 @@ pub enum StepOracle {
         /// Edge changes folded in.
         changes: usize,
     },
-    /// An incremental update was attempted (or due) but declined, and
-    /// the oracle was rebuilt fresh instead.
+    /// An incremental update was attempted (or due) but declined or
+    /// priced above a rebuild, and the oracle was rebuilt fresh instead.
     Fallback(RebuildReason),
 }
 
@@ -374,8 +376,8 @@ impl OnlineCad {
     }
 
     /// Obtain the arriving instance's oracle according to the configured
-    /// [`UpdateMode`]: in-place delta update when possible, fresh build
-    /// otherwise. Bumps the `commute.incremental_updates` /
+    /// [`UpdateMode`]: in-place delta update when possible and cheaper,
+    /// fresh build otherwise. Bumps the `commute.incremental_updates` /
     /// `commute.rebuild_fallbacks` counters and the `oracle_update_secs`
     /// histogram accordingly; fresh builds keep their existing
     /// `commute.oracle_builds` accounting inside
@@ -391,18 +393,27 @@ impl OnlineCad {
                         Some(Err(RebuildReason::Refresh))
                     } else {
                         let delta = EdgeDelta::between(prev_g, g);
-                        let mut candidate = prev_oracle.clone_box();
-                        match candidate.as_updatable() {
-                            None => Some(Err(RebuildReason::Unsupported)),
-                            Some(upd) => {
-                                let (outcome, secs) = cad_obs::time_it(|| upd.apply_delta(&delta));
-                                match outcome? {
-                                    UpdateOutcome::Applied { changes } => {
-                                        Some(Ok((candidate, secs, changes)))
+                        // Price the update before paying for the clone. A
+                        // structural delta keeps its own reason: no
+                        // update could express it at any price.
+                        if !delta.structural && prev_oracle.rebuild_is_cheaper(delta.changes.len())
+                        {
+                            Some(Err(RebuildReason::Cost))
+                        } else {
+                            let mut candidate = prev_oracle.clone_box();
+                            match candidate.as_updatable() {
+                                None => Some(Err(RebuildReason::Unsupported)),
+                                Some(upd) => {
+                                    let (outcome, secs) =
+                                        cad_obs::time_it(|| upd.apply_delta(&delta));
+                                    match outcome? {
+                                        UpdateOutcome::Applied { changes } => {
+                                            Some(Ok((candidate, secs, changes)))
+                                        }
+                                        // The half-updated clone is dropped
+                                        // here — the held oracle is untouched.
+                                        UpdateOutcome::RebuildRequired(reason) => Some(Err(reason)),
                                     }
-                                    // The half-updated clone is dropped
-                                    // here — the held oracle is untouched.
-                                    UpdateOutcome::RebuildRequired(reason) => Some(Err(reason)),
                                 }
                             }
                         }
@@ -523,6 +534,7 @@ impl OnlineCad {
 mod tests {
     use super::*;
     use crate::detector::CadDetector;
+    use cad_commute::RebuildReason;
     use cad_graph::GraphSequence;
 
     fn instance(bridge: f64) -> WeightedGraph {
@@ -753,6 +765,136 @@ mod tests {
             vec![(REFRESH_THRESHOLD, cad_commute::RebuildReason::Refresh)],
             "exactly one forced refresh, after {REFRESH_THRESHOLD} updates"
         );
+    }
+
+    /// A connected `n`-node circulant graph (chords to `i + 1`, `i + 7`
+    /// and `i + 31`, so `3n` edges) whose first `changed` edge weights
+    /// depend on `t`: consecutive instances differ in exactly
+    /// `changed` weights.
+    fn circulant(n: usize, changed: usize, t: usize) -> WeightedGraph {
+        let edges: Vec<(usize, usize, f64)> = [1, 7, 31]
+            .iter()
+            .flat_map(|&step| (0..n).map(move |i| (i, (i + step) % n)))
+            .enumerate()
+            .map(|(e, (u, v))| {
+                let w = if e < changed {
+                    1.0 + ((7 * e + 3 * t) % 10) as f64 / 10.0
+                } else {
+                    1.0
+                };
+                (u, v, w)
+            })
+            .collect();
+        WeightedGraph::from_edges(n, &edges).unwrap()
+    }
+
+    #[test]
+    fn exact_oracles_price_each_push_against_a_rebuild() {
+        for engine in [
+            cad_commute::EngineOptions::Exact,
+            cad_commute::EngineOptions::Corrected,
+        ] {
+            let opts = CadOptions {
+                engine,
+                ..CadOptions::default()
+            };
+            let mut online = OnlineCad::with_mode(opts, ThresholdMode::Fixed(1.0))
+                .with_update_mode(UpdateMode::Incremental);
+            online.push(circulant(200, 500, 0)).unwrap();
+            // Two changed weights: far below 2/3 · n, updated in place.
+            let mut small = circulant(200, 500, 0).edges().collect::<Vec<_>>();
+            small[0].2 += 0.5;
+            small[1].2 += 0.5;
+            let small = WeightedGraph::from_edges(200, &small).unwrap();
+            let (_, m) = online.push_metered(small).unwrap();
+            assert!(
+                matches!(m.oracle, StepOracle::Incremental { changes: 2, .. }),
+                "{engine:?}: {:?}",
+                m.oracle
+            );
+            // Five hundred changed weights: a rebuild is cheaper.
+            let reg = std::sync::Arc::new(cad_obs::Registry::new());
+            let metrics = reg.enter();
+            let (_, m) = online.push_metered(circulant(200, 500, 1)).unwrap();
+            drop(metrics);
+            assert_eq!(
+                m.oracle,
+                StepOracle::Fallback(RebuildReason::Cost),
+                "{engine:?}"
+            );
+            let cells = &reg.snapshot().labeled_counters[0].cells;
+            assert!(cells.contains(&("cost", 1)), "{cells:?}");
+            // The flight recorder names the reason too.
+            let events = reg.events().snapshot(8).events;
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.kind == cad_obs::EventKind::Fallback && e.name == "cost"),
+                "{events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_price_line_sits_at_c_n_and_a_tie_rebuilds() {
+        use cad_commute::DistanceOracle;
+        let g = circulant(60, 0, 0);
+        let line = (cad_commute::SM_REBUILD_CHANGES_PER_NODE * 60.0).ceil() as usize;
+        let exact = cad_commute::ExactCommute::compute(&g).unwrap();
+        let corrected = cad_commute::CorrectedCommute::compute(&g).unwrap();
+        for oracle in [&exact as &dyn DistanceOracle, &corrected] {
+            assert!(!oracle.rebuild_is_cheaper(line - 1));
+            assert!(oracle.rebuild_is_cheaper(line));
+        }
+        // Backends without a price always take the update.
+        let table = cad_commute::ShortestPathTable::compute(&g).unwrap();
+        assert!(!table.rebuild_is_cheaper(usize::MAX));
+    }
+
+    #[test]
+    fn above_threshold_streams_are_bit_identical_to_rebuild() {
+        // Every step changes all 120 weights of a 40-node graph, past
+        // the 2/3 · 40 price line.
+        let graphs: Vec<WeightedGraph> = (0..5).map(|t| circulant(40, 120, t)).collect();
+        for engine in [
+            cad_commute::EngineOptions::Exact,
+            cad_commute::EngineOptions::Corrected,
+        ] {
+            let run = |mode: UpdateMode| {
+                let opts = CadOptions {
+                    engine,
+                    ..CadOptions::default()
+                };
+                let mut online = OnlineCad::new(opts, 3).with_update_mode(mode);
+                graphs
+                    .iter()
+                    .map(|g| {
+                        let (tr, m) = online.push_metered(g.clone()).unwrap();
+                        (tr, m.oracle)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let rebuilt = run(UpdateMode::Rebuild);
+            for mode in [UpdateMode::Incremental, UpdateMode::Auto] {
+                let priced = run(mode);
+                for (t, ((a, step), (b, _))) in priced.iter().zip(&rebuilt).enumerate() {
+                    if t > 0 {
+                        assert_eq!(*step, StepOracle::Fallback(RebuildReason::Cost));
+                    }
+                    let bits = |tr: &Option<TransitionAnomalies>| {
+                        tr.as_ref().map(|tr| {
+                            let edges: Vec<_> = tr
+                                .edges
+                                .iter()
+                                .map(|e| (e.u, e.v, e.score.to_bits(), e.d_commute.to_bits()))
+                                .collect();
+                            (tr.t, edges, tr.nodes.clone())
+                        })
+                    };
+                    assert_eq!(bits(a), bits(b), "{engine:?} {mode:?} push {t}");
+                }
+            }
+        }
     }
 
     #[test]

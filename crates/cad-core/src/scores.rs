@@ -97,11 +97,24 @@ pub fn pair_edge_scores(
     engine_t1: &dyn DistanceOracle,
     kind: ScoreKind,
 ) -> Result<Vec<EdgeScore>> {
+    if g_t.n_nodes() != g_t1.n_nodes() {
+        return Err(cad_graph::GraphError::MixedNodeCounts {
+            expected: g_t.n_nodes(),
+            found: g_t1.n_nodes(),
+            at: 1,
+        });
+    }
     let mut out = Vec::new();
-    let a_t = g_t.adjacency();
-    let a_t1 = g_t1.adjacency();
-
-    let mut push = |u: usize, v: usize, w_t: f64, w_t1: f64| {
+    g_t.for_each_edge_pair(g_t1, |u, v, w_t, w_t1| {
+        // CAD and ADJ score the changed edges (`w_t != w_t1`, exactly
+        // where `w_t1 − w_t ≠ 0`); COM scores the union of both supports.
+        let scored = match kind {
+            ScoreKind::Cad | ScoreKind::Adj => w_t != w_t1,
+            ScoreKind::Com => w_t != 0.0 || w_t1 != 0.0,
+        };
+        if !scored {
+            return;
+        }
         let d_weight = w_t1 - w_t;
         let d_commute = engine_t1.distance(u, v) - engine_t.distance(u, v);
         let score = match kind {
@@ -116,27 +129,7 @@ pub fn pair_edge_scores(
             d_weight,
             d_commute,
         });
-    };
-
-    let diff = a_t1
-        .linear_combination(1.0, a_t, -1.0)
-        .map_err(cad_graph::GraphError::from)?;
-    match kind {
-        ScoreKind::Cad | ScoreKind::Adj => {
-            for (u, v, _) in diff.iter_upper() {
-                push(u, v, a_t.get(u, v), a_t1.get(u, v));
-            }
-        }
-        ScoreKind::Com => {
-            // Union of the supports of A_t and A_{t+1}.
-            let union = a_t1
-                .linear_combination(1.0, a_t, 1.0)
-                .map_err(cad_graph::GraphError::from)?;
-            for (u, v, _) in union.iter_upper() {
-                push(u, v, a_t.get(u, v), a_t1.get(u, v));
-            }
-        }
-    }
+    });
 
     out.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
     Ok(out)

@@ -123,6 +123,58 @@ impl WeightedGraph {
         self.adj.iter_upper()
     }
 
+    /// Walk the union of this graph's edges and `next`'s once, ascending
+    /// by `(u, v)` with `u < v`, calling `f(u, v, w_self, w_next)` with
+    /// `0.0` on the side where the edge is absent.
+    ///
+    /// This one merge over the two CSR rows is every transition diff in
+    /// the workspace: filter `w_self != w_next` for the changed edges
+    /// (the support of `|A_{t+1} − A_t|`), or take every call for the
+    /// union of both supports. The graphs may differ in node count; a
+    /// row one of them lacks is empty.
+    pub fn for_each_edge_pair(
+        &self,
+        next: &WeightedGraph,
+        mut f: impl FnMut(usize, usize, f64, f64),
+    ) {
+        fn upper(g: &WeightedGraph, u: usize) -> (&[u32], &[f64]) {
+            if u >= g.n_nodes() {
+                return (&[], &[]);
+            }
+            let (cols, vals) = g.adj.row(u);
+            let from = cols.partition_point(|&c| c as usize <= u);
+            (&cols[from..], &vals[from..])
+        }
+        for u in 0..self.n_nodes().max(next.n_nodes()) {
+            let (ac, av) = upper(self, u);
+            let (bc, bv) = upper(next, u);
+            let (mut p, mut q) = (0, 0);
+            while p < ac.len() && q < bc.len() {
+                match ac[p].cmp(&bc[q]) {
+                    std::cmp::Ordering::Less => {
+                        f(u, ac[p] as usize, av[p], 0.0);
+                        p += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        f(u, bc[q] as usize, 0.0, bv[q]);
+                        q += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        f(u, ac[p] as usize, av[p], bv[q]);
+                        p += 1;
+                        q += 1;
+                    }
+                }
+            }
+            for (&c, &w) in ac[p..].iter().zip(&av[p..]) {
+                f(u, c as usize, w, 0.0);
+            }
+            for (&c, &w) in bc[q..].iter().zip(&bv[q..]) {
+                f(u, c as usize, 0.0, w);
+            }
+        }
+    }
+
     /// The combinatorial graph Laplacian `L = D − A` as sparse CSR.
     pub fn laplacian(&self) -> CsrMatrix {
         let n = self.n_nodes();
@@ -189,6 +241,25 @@ mod tests {
         let g = triangle();
         let e: Vec<_> = g.edges().collect();
         assert_eq!(e, vec![(0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0)]);
+    }
+
+    #[test]
+    fn edge_pairs_walk_the_union_in_order() {
+        let a = WeightedGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)]).unwrap();
+        let b = WeightedGraph::from_edges(5, &[(0, 1, 1.5), (0, 3, 0.5), (2, 3, 1.0), (3, 4, 2.0)])
+            .unwrap();
+        let mut seen = Vec::new();
+        a.for_each_edge_pair(&b, |u, v, wa, wb| seen.push((u, v, wa, wb)));
+        assert_eq!(
+            seen,
+            vec![
+                (0, 1, 1.0, 1.5),
+                (0, 3, 0.0, 0.5),
+                (1, 2, 2.0, 0.0),
+                (2, 3, 1.0, 1.0),
+                (3, 4, 0.0, 2.0),
+            ]
+        );
     }
 
     #[test]

@@ -81,14 +81,13 @@ impl GraphSequence {
     /// score: every edge outside this set has `ΔE_t = 0` regardless of
     /// commute times, which is what keeps scoring `O(m)`.
     pub fn changed_edges(&self, t: usize) -> Vec<(usize, usize, f64, f64)> {
-        let a = self.graphs[t].adjacency();
-        let b = self.graphs[t + 1].adjacency();
-        let diff = b
-            .linear_combination(1.0, a, -1.0)
-            .expect("same vertex-set size by construction");
-        diff.iter_upper()
-            .map(|(i, j, _)| (i, j, a.get(i, j), b.get(i, j)))
-            .collect()
+        let mut out = Vec::new();
+        self.graphs[t].for_each_edge_pair(&self.graphs[t + 1], |u, v, w_t, w_t1| {
+            if w_t != w_t1 {
+                out.push((u, v, w_t, w_t1));
+            }
+        });
+        out
     }
 
     /// Average number of non-zero-weight edges per instance (paper's `m`).

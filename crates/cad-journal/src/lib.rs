@@ -53,7 +53,7 @@
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -354,7 +354,26 @@ impl SessionJournal {
 
     /// Append one record, honouring the fsync policy, rotating the
     /// segment when it outgrows [`JournalConfig::max_segment_bytes`].
+    ///
+    /// A failed append is cut back off the segment (best effort: the
+    /// truncation can fail too), so a record reported as not written is
+    /// not replayed either.
     pub fn append(&mut self, kind: RecordKind, payload: &[u8]) -> io::Result<()> {
+        let (seg_bytes, total_bytes) = (self.seg_bytes, self.total_bytes);
+        let written = self.write_record(kind, payload);
+        if written.is_err() {
+            self.seg_bytes = seg_bytes;
+            self.total_bytes = total_bytes;
+            let _ = self
+                .file
+                .set_len(seg_bytes)
+                .and_then(|()| self.file.sync_all())
+                .and_then(|()| self.file.seek(SeekFrom::Start(seg_bytes)));
+        }
+        written
+    }
+
+    fn write_record(&mut self, kind: RecordKind, payload: &[u8]) -> io::Result<()> {
         let frame = encode_frame(kind, payload);
         let t0 = Instant::now();
         self.file.write_all(&frame)?;
@@ -400,8 +419,12 @@ impl SessionJournal {
             .create_new(true)
             .open(&path)?;
         let header = segment_header(self.session_id, seq, self.seg_bytes);
-        file.write_all(&header)?;
-        sync_dir(&self.dir)?;
+        if let Err(e) = file.write_all(&header).and_then(|()| sync_dir(&self.dir)) {
+            // `append` cuts the record back off the sealed segment, so
+            // this successor's back-link would be wrong: take it away.
+            let _ = fs::remove_file(&path);
+            return Err(e);
+        }
         cad_obs::count(Counter::JournalBytesWritten, header.len() as u64);
         self.file = file;
         self.seg_seq = seq;
@@ -960,6 +983,43 @@ mod tests {
         assert_eq!(rec.records.len(), 6);
         assert_eq!(rec.n_segments, j.n_segments());
         assert!(j.needs_compaction());
+    }
+
+    #[test]
+    fn failed_append_is_cut_back_off_and_not_recovered() {
+        let root = tmp();
+        let cfg = JournalConfig {
+            max_segment_bytes: 1,
+            ..fast_cfg()
+        };
+        // Every append rotates: the create and one delta leave segment 3
+        // holding only its header.
+        let mut j = SessionJournal::create(&root, 4, cfg).unwrap();
+        j.append(RecordKind::Create, b"spec").unwrap();
+        j.append(RecordKind::Delta, b"d1").unwrap();
+        assert_eq!(j.n_segments(), 3);
+        // A file already holding segment 4's name fails the rotation
+        // after the frame reached segment 3.
+        let blocker = root.join("4").join(segment_file_name(4));
+        File::create(&blocker).unwrap();
+        assert!(j.append(RecordKind::Delta, b"d2").is_err());
+        assert_eq!(
+            fs::metadata(&blocker).unwrap().len(),
+            0,
+            "not ours to touch"
+        );
+        let seg3 = root.join("4").join(segment_file_name(3));
+        assert_eq!(fs::metadata(seg3).unwrap().len(), HEADER_LEN as u64);
+
+        // Recovery drops the empty blocker and replays what was appended.
+        let rec = recover_session(&root.join("4")).unwrap();
+        assert_eq!(
+            rec.records,
+            vec![
+                record(RecordKind::Create, b"spec"),
+                record(RecordKind::Delta, b"d1"),
+            ]
+        );
     }
 
     #[test]

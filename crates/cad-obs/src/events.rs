@@ -128,6 +128,7 @@ pub const EVENT_NAMES: &[&str] = &[
     "degenerate",
     "unsupported",
     "refresh",
+    "cost",
     // session lifecycle
     "session_created",
     "session_evicted",

@@ -345,8 +345,9 @@ fn scrape_limits() -> HttpLimits {
 /// Serve one connection (possibly several keep-alive requests).
 fn serve_conn(mut stream: TcpStream, health: &WatchHealth) {
     let limits = scrape_limits();
+    let mut carry = Vec::new();
     loop {
-        let req = match http::read_request(&mut stream, &limits) {
+        let req = match http::read_request_pipelined(&mut stream, &limits, &mut carry) {
             Ok(req) => req,
             Err(err) => {
                 http::respond_read_error(&mut stream, &err);
@@ -621,6 +622,25 @@ mod tests {
         stream.read_to_string(&mut response).expect("read");
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(response.contains("\"status\": \"ok\""), "{response}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn serve_answers_pipelined_requests_sent_in_one_write() {
+        let health = Arc::new(WatchHealth::new());
+        let server = MetricsServer::start("127.0.0.1:0", health).expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n\
+                  GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            )
+            .expect("write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        assert_eq!(response.matches("HTTP/1.1 200 OK").count(), 2, "{response}");
+        assert!(response.contains("\"status\": \"ok\""), "{response}");
+        assert!(response.contains("# TYPE"), "{response}");
         server.shutdown();
     }
 

@@ -14,7 +14,8 @@
 //! * **timeouts** — per-connection read/write deadlines so a stalled
 //!   peer cannot pin a worker forever;
 //! * **keep-alive** — HTTP/1.1 persistent-connection semantics
-//!   (`Connection: close` honoured both ways);
+//!   (`Connection: close` honoured both ways), including pipelined
+//!   requests: bytes read past one request are kept for the next;
 //! * **responses** — correct `Content-Length`/`Connection` framing and
 //!   a shared structured-error JSON body schema
 //!   ([`error_body`]) used by both the service endpoints and `cad
@@ -179,15 +180,35 @@ fn head_end(buf: &[u8], scanned: usize) -> Option<usize> {
     find(b"\r\n\r\n").or_else(|| find(b"\n\n"))
 }
 
-/// Read one request from `stream`, honouring `limits`.
+/// Read one request from a connection that carries no other: the
+/// one-shot form of [`read_request_pipelined`]. Bytes past the body
+/// that arrive with the head are rejected, since nothing would keep
+/// them for a next request.
+pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, ReadError> {
+    let mut carry = Vec::new();
+    let req = read_request_pipelined(stream, limits, &mut carry)?;
+    if !carry.is_empty() {
+        return Err(ReadError::Bad("body longer than content-length".into()));
+    }
+    Ok(req)
+}
+
+/// Read the next request on a keep-alive connection, honouring
+/// `limits`.
 ///
 /// Applies the read/write timeouts to the socket, buffers the head
 /// across arbitrarily fragmented writes up to the head cap, validates
 /// the request line, parses headers, and reads exactly the declared
-/// `Content-Length` bytes of body (zero without the header). Bytes past
-/// the body that arrived with the head are rejected; bytes the peer
-/// sends after the body stay on the socket for the next request.
-pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, ReadError> {
+/// `Content-Length` bytes of body (zero without the header). `carry`
+/// holds the connection's bytes already read past the previous
+/// request: they are parsed first, and bytes past this request's body
+/// are left there for the next call, so a pipelining peer is served
+/// the same however its requests are split into TCP segments.
+pub fn read_request_pipelined(
+    stream: &mut TcpStream,
+    limits: &HttpLimits,
+    carry: &mut Vec<u8>,
+) -> Result<Request, ReadError> {
     stream
         .set_read_timeout(limits.read_timeout)
         .map_err(ReadError::Io)?;
@@ -195,7 +216,8 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         .set_write_timeout(limits.write_timeout)
         .map_err(ReadError::Io)?;
 
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let mut buf: Vec<u8> = std::mem::take(carry);
+    buf.reserve(1024);
     let mut chunk = [0u8; 1024];
     let mut scanned = 0;
     let split = loop {
@@ -260,17 +282,15 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         return Err(ReadError::BodyTooLarge(content_length));
     }
 
-    if rest.len() as u64 > content_length {
-        // Pipelined extra bytes are not supported; better to reject
-        // loudly than to silently desynchronise the connection.
-        return Err(ReadError::Bad("body longer than content-length".into()));
-    }
-    // The length is capped above, so the buffer is too; the rest of
-    // the body arrives in one `read_exact`.
+    // Bytes past the body belong to the next pipelined request. The
+    // length is capped above, so the buffer is too; the rest of the
+    // body arrives in one `read_exact`.
+    let have = rest.len().min(content_length as usize);
+    carry.extend_from_slice(&rest[have..]);
     let mut body = vec![0u8; content_length as usize];
-    body[..rest.len()].copy_from_slice(rest);
+    body[..have].copy_from_slice(&rest[..have]);
     stream
-        .read_exact(&mut body[rest.len()..])
+        .read_exact(&mut body[have..])
         .map_err(|e| match e.kind() {
             std::io::ErrorKind::UnexpectedEof => {
                 ReadError::Bad("connection closed mid-body".into())
@@ -552,6 +572,35 @@ mod tests {
         })
         .expect("request");
         assert_eq!(req.body, b"0123456789".repeat(6));
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_write_are_read_in_turn() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(
+                b"POST /a HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /b HTTP/1.1\r\n\r\n",
+            )
+            .unwrap();
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        client.join().expect("client thread");
+        let mut carry = Vec::new();
+        let first = read_request_pipelined(&mut stream, &tight(), &mut carry).expect("first");
+        assert_eq!(
+            (first.path.as_str(), &first.body[..]),
+            ("/a", &b"hello"[..])
+        );
+        let second = read_request_pipelined(&mut stream, &tight(), &mut carry).expect("second");
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/b")
+        );
+        assert!(carry.is_empty());
+        let end = read_request_pipelined(&mut stream, &tight(), &mut carry);
+        assert!(matches!(end, Err(ReadError::Closed)), "{end:?}");
     }
 
     #[test]

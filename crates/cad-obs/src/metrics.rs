@@ -129,7 +129,7 @@ metric_table! {
         IncrementalUpdates = "commute.incremental_updates",
         /// Incremental updates that fell back to a fresh build
         /// (structural delta, degenerate denominator, refresh threshold,
-        /// or an unsupported backend).
+        /// an update priced above a rebuild, or an unsupported backend).
         RebuildFallbacks = "commute.rebuild_fallbacks",
         /// Oracle artifacts served from the content-addressed store cache.
         StoreCacheHits = "store.cache_hits",
@@ -232,7 +232,7 @@ labeled_table! {
         RebuildFallbacks = (
             "commute.rebuild_fallbacks",
             "reason",
-            ["structural", "degenerate", "unsupported", "refresh", "other"],
+            ["structural", "degenerate", "unsupported", "refresh", "cost", "other"],
         ),
     }
 }
@@ -674,6 +674,7 @@ mod tests {
                     ("degenerate", 0),
                     ("unsupported", 0),
                     ("refresh", 1),
+                    ("cost", 0),
                     ("other", 1)
                 ],
             }]

@@ -269,6 +269,19 @@ fn create_session(req: &Request, ctx: &RouterCtx) -> Response {
 fn push_snapshot(req: &Request, session: &Session) -> Response {
     let _span = cad_obs::TraceSpan::enter("push");
     let mut inner = session.lock();
+    if inner.journal_failed {
+        let mut resp = Response::error(
+            500,
+            "journal_error",
+            &format!(
+                "session {} could not journal an earlier push and no longer accepts pushes; \
+                 recreate it, or restart the server to replay its acknowledged pushes",
+                session.id
+            ),
+        );
+        resp.meta.error_event = Some("journal_error");
+        return resp;
+    }
     if let Some(bucket) = inner.bucket.as_mut() {
         if let Err(wait_secs) = bucket.try_take() {
             cad_obs::count(Counter::ServeRateLimited, 1);
@@ -321,6 +334,9 @@ fn push_snapshot(req: &Request, session: &Session) -> Response {
             // before it never acknowledged the push.
             if let (Some(journal), Some(delta)) = (inner.journal.as_mut(), journal_delta) {
                 if let Err(e) = journal.append(cad_journal::RecordKind::Delta, &delta) {
+                    // The detector already took the instance; later
+                    // pushes would build on a state no replay reaches.
+                    inner.journal_failed = true;
                     let mut resp = Response::error(
                         500,
                         "journal_error",
@@ -1347,6 +1363,67 @@ mod tests {
             control[4..].to_vec(),
             "checkpoint resume must not perturb later results"
         );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_journal_append_refuses_later_pushes_and_replays_acknowledged_ones() {
+        let reg = Arc::new(Registry::new());
+        let _metrics = reg.enter();
+        let root = tmp_journal_root("append-fail");
+        // Every append rotates to a new segment, and every sweep wants
+        // to compact.
+        let cfg = cad_journal::JournalConfig {
+            fsync: cad_journal::FsyncPolicy::Never,
+            max_segment_bytes: 1,
+            compact_segments: 1,
+            compact_bytes: 1,
+        };
+        let spec = br#"{"nodes": 6, "engine": "exact", "delta": 0.4}"#;
+        let bodies: Vec<String> = [0.0, 1.5, 2.5].iter().map(|&b| snapshot_body(b)).collect();
+
+        let ctx = ctx_with(SessionMap::new(8).with_journal(root.clone(), cfg.clone()));
+        let resp = route(&request("POST", "/v1/sequences", spec), &ctx);
+        let id = parse(&resp).get("id").and_then(Json::as_u64).unwrap();
+        push_all(&ctx, id, &bodies[..1]);
+        // A file already holding the next segment's name fails the
+        // rotation inside the next append.
+        let dir = root.join(id.to_string());
+        let next = std::fs::read_dir(&dir).unwrap().count() + 1;
+        std::fs::File::create(dir.join(format!("seg-{next:08}.cadj"))).unwrap();
+        let push = format!("/v1/sequences/{id}/snapshots");
+        for body in &bodies[1..] {
+            let resp = route(&request("POST", &push, body.as_bytes()), &ctx);
+            assert_eq!(resp.status, 500);
+            let err = parse(&resp);
+            let code = err.get("error").and_then(|e| e.get("code"));
+            assert_eq!(code.and_then(Json::as_str), Some("journal_error"));
+        }
+        // Compaction would checkpoint the unjournaled instance.
+        assert_eq!(ctx.sessions.compact_journals(), 0);
+        drop(ctx);
+
+        // A restart replays the one acknowledged push: the next push
+        // scores against bodies[0], as if bodies[1] never arrived.
+        let sessions = SessionMap::new(8).with_journal(root.clone(), cfg.clone());
+        assert_eq!(
+            crate::journal::recover_all(&root, &cfg, &sessions, None).unwrap(),
+            1
+        );
+        let ctx = ctx_with(sessions);
+        let status = route(&request("GET", &format!("/v1/sequences/{id}"), b""), &ctx);
+        assert_eq!(
+            parse(&status).get("instances").and_then(Json::as_u64),
+            Some(1)
+        );
+        let replayed = push_all(&ctx, id, &bodies[2..]);
+
+        let control_ctx = ctx_with(SessionMap::new(8));
+        let resp = route(&request("POST", "/v1/sequences", spec), &control_ctx);
+        let control_id = parse(&resp).get("id").and_then(Json::as_u64).unwrap();
+        assert_eq!(control_id, id);
+        let control = push_all(&control_ctx, id, &[bodies[0].clone(), bodies[2].clone()]);
+        assert_eq!(replayed, control[1..].to_vec());
         let _ = std::fs::remove_dir_all(&root);
     }
 

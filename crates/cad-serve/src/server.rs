@@ -366,8 +366,10 @@ fn reject_busy(mut conn: TcpStream, write_timeout: Duration) {
 /// first request only; later keep-alive requests on the same
 /// connection never waited.
 fn serve_conn(mut conn: TcpStream, shared: &Shared, worker: usize, mut queue_wait: f64) {
+    // Bytes a pipelining client sent past the current request.
+    let mut carry = Vec::new();
     loop {
-        match http::read_request(&mut conn, &shared.limits) {
+        match http::read_request_pipelined(&mut conn, &shared.limits, &mut carry) {
             Ok(req) => {
                 cad_obs::gauge_add(Gauge::ServeInflightRequests, 1);
                 let wait = queue_wait;

@@ -252,6 +252,12 @@ pub struct SessionInner {
     /// server runs unjournaled. Appends happen under the session mutex,
     /// so records land in exactly the order pushes were applied.
     pub journal: Option<SessionJournal>,
+    /// Set when a push was applied to the detector but its journal
+    /// append failed: the detector is then ahead of the journal, so
+    /// the session refuses further pushes (and compaction, which would
+    /// checkpoint the unjournaled instance) until it is recreated or a
+    /// restart replays the acknowledged pushes.
+    pub journal_failed: bool,
     /// Push rate limiter (`--max-push-rps`); `None` means unlimited.
     pub bucket: Option<TokenBucket>,
     /// The resolved spec as journaled — re-used verbatim when
@@ -413,6 +419,7 @@ impl SessionMap {
                 instances: 0,
                 last_used: Instant::now(),
                 journal,
+                journal_failed: false,
                 bucket: self.push_rps.map(TokenBucket::new),
                 spec_json,
             }),
@@ -450,6 +457,7 @@ impl SessionMap {
                 instances: rs.instances,
                 last_used: Instant::now(),
                 journal: Some(journal),
+                journal_failed: false,
                 bucket: self.push_rps.map(TokenBucket::new),
                 spec_json: rs.spec_json,
             }),
@@ -512,10 +520,11 @@ impl SessionMap {
                 // Plain inner lock: background compaction must not
                 // refresh the idle clock and defeat TTL eviction.
                 let mut inner = session.inner.lock().unwrap_or_else(|p| p.into_inner());
-                if !inner
-                    .journal
-                    .as_ref()
-                    .is_some_and(SessionJournal::needs_compaction)
+                if inner.journal_failed
+                    || !inner
+                        .journal
+                        .as_ref()
+                        .is_some_and(SessionJournal::needs_compaction)
                 {
                     continue;
                 }

@@ -527,3 +527,28 @@ fn shutdown_endpoint_drains_gracefully_but_finishes_in_flight_work() {
         }
     }
 }
+
+#[test]
+fn pipelined_requests_sent_in_one_write_get_one_answer_each() {
+    let server = Server::start(test_config()).expect("start");
+    let addr = server.addr();
+    let spec = br#"{"nodes": 4}"#;
+    let create = |connection: &str| {
+        let mut req = format!(
+            "POST /v1/sequences HTTP/1.1\r\nHost: t\r\nConnection: {connection}\r\nContent-Length: {}\r\n\r\n",
+            spec.len()
+        )
+        .into_bytes();
+        req.extend_from_slice(spec);
+        req
+    };
+    let mut both = create("keep-alive");
+    both.extend(create("close"));
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(&both).expect("write both requests");
+    let mut text = String::new();
+    conn.read_to_string(&mut text).expect("read both answers");
+    assert_eq!(text.matches("HTTP/1.1 201 Created").count(), 2, "{text}");
+    assert_eq!(text.matches("\"id\":").count(), 2, "{text}");
+    server.drain();
+}
