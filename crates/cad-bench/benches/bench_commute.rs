@@ -223,10 +223,15 @@ fn bench_update_vs_rebuild(c: &mut Criterion) {
     let mut grp = c.benchmark_group("update_vs_rebuild_n300");
     grp.sample_size(10);
     for (label, engine) in &backends() {
-        let base = CommuteTimeEngine::compute(&g, engine).expect("base oracle");
+        let mut base = CommuteTimeEngine::compute(&g, engine).expect("base oracle");
         grp.bench_function(format!("{label}/cold_build"), |b| {
             b.iter(|| CommuteTimeEngine::compute(black_box(&perturbed), engine).expect("cold"))
         });
+        // A backend that cannot update in place (the embedding) rebuilds
+        // on every push: its cold build is the whole price.
+        if base.as_updatable().is_none() {
+            continue;
+        }
         // `apply_delta` mutates, so each iteration updates a fresh clone
         // (an O(n²) copy at most, small next to either side).
         grp.bench_function(format!("{label}/clone_apply_delta"), |b| {

@@ -10,7 +10,8 @@
 //! k for values of k > 10". The reproduction sweeps
 //! `k ∈ {2, 5, 10, 25, 50, 100}` with the approximate engine (the exact
 //! engine's AUC is printed as the `k = ∞` reference) and asserts the
-//! plateau: every `k > 10` lands within a few AUC points of exact.
+//! plateau: every `k > 10` lands within 0.004 AUC of exact, and smaller
+//! `k` within a per-`k` bound.
 
 use cad_bench::{Args, Table};
 use cad_commute::{EmbeddingOptions, EngineOptions};
@@ -69,15 +70,24 @@ fn main() {
     t.row(&["exact".into(), format!("{exact_auc:.3}")]);
     t.print();
 
-    // Reproduction contract: plateau above k = 10.
+    // Reproduction contract: plateau above k = 10, and a bounded AUC gap
+    // to exact at every k. With pair-keyed signs solved to
+    // `SKETCH_SOLVE_TOL` the default run's gaps are 0.046, 0.011, 0.006
+    // and at most 0.001 above k = 10 (EXPERIMENTS.md); a 1e-3 solve
+    // tolerance or signs keyed by edge position exceed these bounds.
+    let max_gap = |k: usize| match k {
+        0..=2 => 0.06,
+        3..=5 => 0.035,
+        6..=10 => 0.015,
+        _ => 0.004,
+    };
     for (ki, &k) in ks.iter().enumerate() {
-        if k > 10 {
-            assert!(
-                (mean_auc[ki] - exact_auc).abs() < 0.05,
-                "k = {k} should match exact AUC: {:.3} vs {exact_auc:.3}",
-                mean_auc[ki]
-            );
-        }
+        let gap = exact_auc - mean_auc[ki];
+        assert!(
+            gap < max_gap(k) && (k <= 10 || gap > -max_gap(k)),
+            "k = {k}: AUC {:.4} is {gap:.4} off exact {exact_auc:.4}",
+            mean_auc[ki]
+        );
     }
     assert!(
         exact_auc > 0.75,

@@ -41,7 +41,7 @@ pub mod shortest;
 pub mod update;
 
 pub use corrected::CorrectedCommute;
-pub use embedding::{sketch_rhs_panel, CommuteEmbedding, EmbeddingOptions};
+pub use embedding::{sketch_rhs_panel, CommuteEmbedding, EmbeddingOptions, SKETCH_SOLVE_TOL};
 pub use engine::{BuildFresh, CommuteTimeEngine, EngineOptions, OracleProvider};
 pub use exact::ExactCommute;
 pub use oracle::{DistanceOracle, OracleKind, SharedOracle};

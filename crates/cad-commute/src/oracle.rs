@@ -244,10 +244,6 @@ impl DistanceOracle for CommuteEmbedding {
     fn clone_box(&self) -> SharedOracle {
         Box::new(self.clone())
     }
-
-    fn as_updatable(&mut self) -> Option<&mut dyn UpdatableOracle> {
-        Some(self)
-    }
 }
 
 impl DistanceOracle for ShortestPathTable {

@@ -14,8 +14,10 @@
 //! * [`UpdatableOracle::apply_delta`] folds a non-structural delta into
 //!   an existing oracle in place — Sherman–Morrison rank-1 corrections
 //!   on `L⁺` for the exact/corrected engines (Khoa–Chawla,
-//!   arXiv 1107.3894; Monnig–Meyer, arXiv 1605.01091), warm-started
-//!   per-row CG for the embedding engine;
+//!   arXiv 1107.3894; Monnig–Meyer, arXiv 1605.01091). The embedding
+//!   engine does not update: its rows are solved only to
+//!   [`crate::SKETCH_SOLVE_TOL`], so a warm start from them cannot meet
+//!   the contract below against a fresh build, and a push rebuilds it;
 //! * [`UpdateOutcome::RebuildRequired`] is the escape hatch: structural
 //!   deltas, degenerate rank-1 denominators and non-updatable backends
 //!   all fall back to a fresh [`crate::CommuteTimeEngine::compute`]
@@ -27,14 +29,10 @@
 //! An incrementally-updated oracle is *not* bit-identical to a fresh
 //! batch build — it is equal up to f64 rounding of the update algebra:
 //!
-//! * exact/corrected: Sherman–Morrison is algebraically exact while the
-//!   component partition is unchanged; the drift per applied change is
-//!   a few ulps amplified by the conditioning of `L⁺`.
-//! * embedding: every row is re-solved against the new Laplacian to the
-//!   same CG tolerance as a cold build; the warm start changes the
-//!   iterate path, not the converged accuracy.
-//!
-//! Both are covered by the documented bound [`UPDATE_REL_TOL`]:
+//! Sherman–Morrison is algebraically exact while the component
+//! partition is unchanged; the drift per applied change is a few ulps
+//! amplified by the conditioning of `L⁺`. It is covered by the
+//! documented bound [`UPDATE_REL_TOL`]:
 //! for every node pair, `|d_upd(i,j) − d_fresh(i,j)| ≤ UPDATE_REL_TOL ·
 //! (1 + d_fresh(i,j))`. The property test in `tests/incremental.rs`
 //! asserts exactly this bound for every engine.
@@ -162,8 +160,8 @@ pub enum RebuildReason {
     /// A Sherman–Morrison denominator hit [`SM_DEN_TOL`] (the update
     /// would disconnect a component mid-sequence).
     Degenerate,
-    /// The backend cannot update in place (shortest-path table, or an
-    /// embedding loaded from the store without its build options).
+    /// The backend cannot update in place (shortest-path table, commute
+    /// embedding).
     Unsupported,
     /// The accumulated update count crossed the caller's refresh
     /// threshold (emitted by `cad_core`, not by the oracles).

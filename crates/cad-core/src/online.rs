@@ -789,6 +789,58 @@ mod tests {
     }
 
     #[test]
+    fn every_fallback_reason_and_step_mode_reads_back_from_the_flight_recorder() {
+        use cad_obs::EventKind;
+        // Adding a reason breaks this match until the reason is listed
+        // below as well.
+        let position = |r: RebuildReason| match r {
+            RebuildReason::Structural => 0,
+            RebuildReason::Degenerate => 1,
+            RebuildReason::Unsupported => 2,
+            RebuildReason::Refresh => 3,
+            RebuildReason::Cost => 4,
+        };
+        let reasons = [
+            RebuildReason::Structural,
+            RebuildReason::Degenerate,
+            RebuildReason::Unsupported,
+            RebuildReason::Refresh,
+            RebuildReason::Cost,
+        ];
+        assert!(reasons.iter().enumerate().all(|(i, &r)| position(r) == i));
+        let steps = [
+            StepOracle::Rebuilt,
+            StepOracle::Incremental {
+                update_secs: 0.0,
+                changes: 1,
+            },
+        ]
+        .into_iter()
+        .chain(reasons.map(StepOracle::Fallback));
+        let mut written = Vec::new();
+        for r in reasons {
+            written.push((EventKind::Fallback, r.name()));
+        }
+        for step in steps {
+            written.push((EventKind::Update, step.mode_name()));
+        }
+        let reg = std::sync::Arc::new(cad_obs::Registry::new());
+        let metrics = reg.enter();
+        for &(kind, name) in &written {
+            cad_obs::events::record(kind, name, 0.0, 0);
+        }
+        drop(metrics);
+        let read: Vec<(EventKind, &str)> = reg
+            .events()
+            .snapshot(written.len())
+            .events
+            .iter()
+            .map(|e| (e.kind, e.name))
+            .collect();
+        assert_eq!(read, written);
+    }
+
+    #[test]
     fn exact_oracles_price_each_push_against_a_rebuild() {
         for engine in [
             cad_commute::EngineOptions::Exact,
@@ -832,6 +884,24 @@ mod tests {
                     .any(|e| e.kind == cad_obs::EventKind::Fallback && e.name == "cost"),
                 "{events:?}"
             );
+        }
+    }
+
+    #[test]
+    fn embedding_sessions_rebuild_every_push_as_unsupported() {
+        let opts = CadOptions {
+            engine: cad_commute::EngineOptions::Approximate(cad_commute::EmbeddingOptions {
+                k: 8,
+                ..Default::default()
+            }),
+            ..CadOptions::default()
+        };
+        let mut online = OnlineCad::with_mode(opts, ThresholdMode::Fixed(1.0))
+            .with_update_mode(UpdateMode::Incremental);
+        online.push(circulant(60, 4, 0)).unwrap();
+        for t in 1..3 {
+            let (_, m) = online.push_metered(circulant(60, 4, t)).unwrap();
+            assert_eq!(m.oracle, StepOracle::Fallback(RebuildReason::Unsupported));
         }
     }
 

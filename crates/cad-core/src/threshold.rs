@@ -14,7 +14,6 @@
 //! per-transition top-`l` — is what lets quiet transitions report *no*
 //! anomalies and busy transitions report more than `l`.
 
-use crate::node_scores::node_scores_from_edges;
 use crate::scores::EdgeScore;
 
 /// How the per-transition anomaly sets are cut from the score lists.
@@ -51,17 +50,71 @@ pub fn select_prefix(scores_desc: &[EdgeScore], delta: f64) -> usize {
     scores_desc.len()
 }
 
-/// Total number of distinct anomalous nodes across transitions at level
-/// `delta` (`Σ_t |V_t(δ)|`).
-fn total_nodes_at(transitions: &[Vec<EdgeScore>], n_nodes: usize, delta: f64) -> usize {
-    transitions
-        .iter()
-        .map(|scores| {
-            let k = select_prefix(scores, delta);
-            let ns = node_scores_from_edges(n_nodes, &scores[..k]);
-            ns.iter().filter(|&&v| v > 0.0).count()
-        })
-        .sum()
+/// One transition's score list, tabulated so that [`select_prefix`] and
+/// the node count of any prefix are each one binary search away.
+struct PrefixTable {
+    /// `Σ score`, summed as [`select_prefix`] sums it.
+    total: f64,
+    /// `floor[j]`: the least `remaining` [`select_prefix`] has seen once
+    /// it subtracted score `j`. The first `j` whose `remaining` drops
+    /// below `δ` is the first whose `floor` does, and `floor` never
+    /// increases, so it can be bisected.
+    floor: Vec<f64>,
+    /// `(p, count)` at every prefix length `p` where the number of
+    /// distinct nodes with a positive node score over the first `p`
+    /// edges (as [`crate::node_scores::node_scores_from_edges`] sums
+    /// them) changes. Scores are non-negative, so a node turns positive
+    /// at most once: at most `n` steps, where `floor` holds one entry
+    /// per edge.
+    steps: Vec<(usize, usize)>,
+}
+
+impl PrefixTable {
+    fn new(scores_desc: &[EdgeScore], n_nodes: usize) -> PrefixTable {
+        let total: f64 = scores_desc.iter().map(|e| e.score).sum();
+        let mut floor = Vec::with_capacity(scores_desc.len());
+        let mut steps = Vec::new();
+        let (mut remaining, mut least) = (total, f64::NAN);
+        let mut node_score = vec![0.0; n_nodes];
+        let mut positive = 0;
+        for (j, e) in scores_desc.iter().enumerate() {
+            remaining -= e.score;
+            least = least.min(remaining);
+            floor.push(least);
+            for x in [e.u, e.v] {
+                let was = node_score[x] > 0.0;
+                node_score[x] += e.score;
+                positive += usize::from(node_score[x] > 0.0);
+                positive -= usize::from(was);
+            }
+            if steps.last().map_or(0, |&(_, count)| count) != positive {
+                steps.push((j + 1, positive));
+            }
+        }
+        PrefixTable {
+            total,
+            floor,
+            steps,
+        }
+    }
+
+    /// `select_prefix(scores_desc, delta)`.
+    fn prefix(&self, delta: f64) -> usize {
+        if self.total < delta {
+            return 0;
+        }
+        let first_below = self
+            .floor
+            .partition_point(|r| r.partial_cmp(&delta) != Some(std::cmp::Ordering::Less));
+        (first_below + 1).min(self.floor.len())
+    }
+
+    /// `|V_t(δ)|`.
+    fn nodes_at(&self, delta: f64) -> usize {
+        let p = self.prefix(delta);
+        let past = self.steps.partition_point(|&(q, _)| q <= p);
+        past.checked_sub(1).map_or(0, |i| self.steps[i].1)
+    }
 }
 
 /// Choose a single global `δ` such that `Σ_t |V_t| ≈ l·(T−1)`
@@ -76,10 +129,11 @@ pub fn choose_delta(
     n_nodes: usize,
     target_total_nodes: usize,
 ) -> f64 {
-    let max_total = transitions
+    let tables: Vec<PrefixTable> = transitions
         .iter()
-        .map(|s| s.iter().map(|e| e.score).sum::<f64>())
-        .fold(0.0f64, f64::max);
+        .map(|s| PrefixTable::new(s, n_nodes))
+        .collect();
+    let max_total = tables.iter().map(|t| t.total).fold(0.0f64, f64::max);
     if max_total == 0.0 {
         return f64::MIN_POSITIVE; // No anomaly mass anywhere.
     }
@@ -89,7 +143,7 @@ pub fn choose_delta(
     // Bisect: node count is non-increasing in δ.
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        let count = total_nodes_at(transitions, n_nodes, mid);
+        let count: usize = tables.iter().map(|t| t.nodes_at(mid)).sum();
         if count > target_total_nodes {
             lo = mid;
         } else {
@@ -134,6 +188,8 @@ pub fn apply_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_scores::node_scores_from_edges;
+    use proptest::prelude::*;
 
     fn e(u: usize, v: usize, score: f64) -> EdgeScore {
         EdgeScore {
@@ -198,6 +254,93 @@ mod tests {
         let delta = choose_delta(&trans, 4, 3);
         assert!(delta > 0.0);
         assert_eq!(select_prefix(&[], delta), 0);
+    }
+
+    /// `choose_delta` as it read before [`PrefixTable`]: every probe
+    /// reruns `select_prefix` and `node_scores_from_edges`.
+    fn choose_delta_by_rescan(
+        transitions: &[Vec<EdgeScore>],
+        n_nodes: usize,
+        target_total_nodes: usize,
+    ) -> f64 {
+        let total_nodes_at = |delta: f64| -> usize {
+            transitions
+                .iter()
+                .map(|scores| {
+                    let k = select_prefix(scores, delta);
+                    let ns = node_scores_from_edges(n_nodes, &scores[..k]);
+                    ns.iter().filter(|&&v| v > 0.0).count()
+                })
+                .sum()
+        };
+        let max_total = transitions
+            .iter()
+            .map(|s| s.iter().map(|e| e.score).sum::<f64>())
+            .fold(0.0f64, f64::max);
+        if max_total == 0.0 {
+            return f64::MIN_POSITIVE;
+        }
+        let (mut lo, mut hi) = (0.0f64, max_total * (1.0 + 1e-9) + f64::MIN_POSITIVE);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if total_nodes_at(mid) > target_total_nodes {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
+    /// Transitions over 8 nodes from `(u, v, score code)` triples: codes
+    /// below 8 are the tie-prone scores `0, 0.5, …, 3.5` (zero
+    /// included), the rest spread over `(0, 40)`.
+    fn transitions_from(raw: Vec<Vec<(usize, usize, u32)>>) -> Vec<Vec<EdgeScore>> {
+        raw.into_iter()
+            .map(|edges| {
+                let mut scores: Vec<EdgeScore> = edges
+                    .into_iter()
+                    .map(|(u, v, code)| {
+                        let score = if code < 8 {
+                            0.5 * code as f64
+                        } else {
+                            (code as f64 * 0.618_033_988_749_895).fract() * 40.0
+                        };
+                        e(u, v, score)
+                    })
+                    .collect();
+                scores.sort_by(|a, b| b.score.total_cmp(&a.score));
+                scores
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prefix_tables_choose_the_rescan_delta_bitwise(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0usize..8, 0usize..8, 0u32..16), 0..24),
+                0..6,
+            ),
+            target in 0usize..24,
+        ) {
+            let transitions = transitions_from(raw);
+            let new = choose_delta(&transitions, 8, target);
+            let old = choose_delta_by_rescan(&transitions, 8, target);
+            prop_assert_eq!(new.to_bits(), old.to_bits());
+            for scores in &transitions {
+                let table = PrefixTable::new(scores, 8);
+                for delta in [new, 0.0, 0.25, 0.5, 1.0, 3.5, 7.0, 1e3] {
+                    let k = select_prefix(scores, delta);
+                    prop_assert_eq!(table.prefix(delta), k);
+                    let ns = node_scores_from_edges(8, &scores[..k]);
+                    let count = ns.iter().filter(|&&v| v > 0.0).count();
+                    prop_assert_eq!(table.nodes_at(delta), count);
+                }
+            }
+        }
     }
 
     #[test]

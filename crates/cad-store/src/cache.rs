@@ -67,6 +67,9 @@ fn solver_fp(s: &cad_linalg::solve::LaplacianSolverOptions) -> String {
 /// builds that predate `cad_linalg::pinv::laplacian_pinv` stored
 /// eigendecomposition bits for disconnected snapshots under the bare
 /// names, and a warm hit on those must not differ from a cold build.
+/// The embedding carries `signs=pair` for the same reason: builds that
+/// predate pair-keyed sketch signs stored coordinates from signs keyed
+/// by edge position.
 pub fn engine_fingerprint(opts: &EngineOptions, n_nodes: usize) -> String {
     match opts {
         EngineOptions::Exact => "exact;pinv=per-component".to_string(),
@@ -74,7 +77,7 @@ pub fn engine_fingerprint(opts: &EngineOptions, n_nodes: usize) -> String {
         EngineOptions::Corrected => "corrected;pinv=per-component".to_string(),
         EngineOptions::Approximate(e) => {
             format!(
-                "embedding;k={};seed={};{}",
+                "embedding;k={};seed={};signs=pair;{}",
                 e.k,
                 e.seed,
                 solver_fp(&e.solver)
@@ -533,6 +536,27 @@ mod tests {
             h.update(old_fp.as_bytes());
             assert_ne!(cache_key(&g, &opts), to_hex(&h.finish()), "{old_fp}");
         }
+    }
+
+    #[test]
+    fn embedding_keys_differ_from_position_keyed_sign_era_keys() {
+        // Older builds keyed the sketch signs by edge position and
+        // fingerprinted the embedding without a `signs` token.
+        let g = graph(1.0);
+        let e = cad_commute::EmbeddingOptions::default();
+        let old_fp = format!(
+            "embedding;k={};seed={};{}",
+            e.k,
+            e.seed,
+            solver_fp(&e.solver)
+        );
+        let mut h = Sha256::new();
+        h.update(&snapshot_bytes(&g));
+        h.update(&[0xff]);
+        h.update(old_fp.as_bytes());
+        let opts = EngineOptions::Approximate(e);
+        assert_ne!(cache_key(&g, &opts), to_hex(&h.finish()));
+        assert!(engine_fingerprint(&opts, g.n_nodes()).contains(";signs=pair;"));
     }
 
     #[test]
