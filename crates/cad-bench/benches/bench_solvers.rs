@@ -98,11 +98,7 @@ fn bench_panel_vs_per_row(c: &mut Criterion) {
     grp.bench_function("panel8", |b| {
         b.iter(|| {
             for (y, lanes) in &panels {
-                std::hint::black_box(
-                    solver
-                        .solve_panel::<W>(y.clone(), None, *lanes)
-                        .expect("solve"),
-                );
+                std::hint::black_box(solver.solve_panel::<W>(y.clone(), *lanes).expect("solve"));
             }
         })
     });

@@ -110,7 +110,7 @@ token bucket; over-limit pushes get 429 + Retry-After.
 fresh oracle per snapshot (the default; bit-identical to batch),
 `incremental` applies each edge delta to the previous oracle in place
 (falling back to a rebuild on structural changes, and on exact deltas
-of 2/3 · n or more changed edges, where rebuilding is cheaper), `auto`
+of 0.45 · n or more changed edges, where rebuilding is cheaper), `auto`
 is incremental with a periodic full refresh.";
 
 /// Which detector scoring to run.

@@ -99,8 +99,10 @@ impl CorrectedCommute {
             // Isolated endpoint: no degeneracy to remove.
             return self.exact.resistance(i, j);
         }
+        // `1/d_i + 1/d_j` is summed before it is subtracted, so swapping
+        // `i` and `j` keeps every bit.
         let w = self.adjacency.get(i, j);
-        (self.exact.resistance(i, j) - 1.0 / di - 1.0 / dj + 2.0 * w / (di * dj)).max(0.0)
+        (self.exact.resistance(i, j) - (1.0 / di + 1.0 / dj) + 2.0 * w / (di * dj)).max(0.0)
     }
 }
 

@@ -74,11 +74,12 @@ pub fn sketch_rhs_panel<const W: usize>(
     let inv_sqrt_k = 1.0 / (opts.k as f64).sqrt();
     let mut y = vec![0.0; g.n_nodes() * W];
     for (u, v, w) in g.edges() {
-        let sqrt_w = w.sqrt();
+        // `±(a·b)` has the bits of `(±a)·b`, so the magnitude is formed
+        // once per edge and each lane only flips its sign.
+        let scale = inv_sqrt_k * w.sqrt();
         let col = pair_key(u, v);
         for j in 0..lanes {
-            let q = signs.sign((first_row + j) as u64, col) * inv_sqrt_k;
-            let s = q * sqrt_w;
+            let s = signs.sign((first_row + j) as u64, col) * scale;
             y[u * W + j] += s;
             y[v * W + j] -= s;
         }
@@ -95,9 +96,7 @@ fn solve_rows<const W: usize>(
     lanes: usize,
 ) -> Result<(Vec<f64>, Vec<cad_obs::SolveStats>)> {
     let b = sketch_rhs_panel::<W>(g, opts, row0);
-    solver
-        .solve_panel::<W>(b, None, lanes)
-        .map_err(GraphError::from)
+    solver.solve_panel::<W>(b, lanes).map_err(GraphError::from)
 }
 
 /// Solve the `opts.k` sketch rows against `solver`, [`PANEL`] rows per

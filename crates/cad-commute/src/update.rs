@@ -56,12 +56,13 @@ pub const SM_DEN_TOL: f64 = 1e-9;
 /// `k = c·n`. Measured by the `update_vs_rebuild_k_sweep_n{200,300,400}`
 /// groups of `cad-bench/benches/bench_commute.rs` (a clone plus `k`
 /// updates against a cold build, `k` in steps of n/8; EXPERIMENTS.md,
-/// "Update or rebuild"): two sweeps on 2 vCPUs put the crossover
-/// between 0.56·n and 0.68·n, and `c = 2/3` lies inside that band. No
-/// serving workload sits near the line (k ≤ 3 on n = 300, k ≈ 500 on
-/// n = 200). Priced by the exact oracle's
-/// [`crate::DistanceOracle::rebuild_is_cheaper`].
-pub const SM_REBUILD_CHANGES_PER_NODE: f64 = 2.0 / 3.0;
+/// "Update or rebuild"): once the inverse computed one triangle of
+/// `L⁺`, two sweeps on 2 vCPUs put the crossover between 0.30·n and
+/// 0.53·n (median 0.45·n), down from 0.56·n–0.68·n with the whole-row
+/// back sweep, and `c = 0.45` is that median. No serving workload sits
+/// near the line (k ≤ 3 on n = 300, k ≈ 500 on n = 200). Priced by the
+/// exact oracle's [`crate::DistanceOracle::rebuild_is_cheaper`].
+pub const SM_REBUILD_CHANGES_PER_NODE: f64 = 0.45;
 
 /// Documented agreement bound between an incrementally-updated oracle
 /// and a fresh batch build of the same snapshot (see the module docs):

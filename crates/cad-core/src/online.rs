@@ -853,7 +853,7 @@ mod tests {
             let mut online = OnlineCad::with_mode(opts, ThresholdMode::Fixed(1.0))
                 .with_update_mode(UpdateMode::Incremental);
             online.push(circulant(200, 500, 0)).unwrap();
-            // Two changed weights: far below 2/3 · n, updated in place.
+            // Two changed weights: far below c · n, updated in place.
             let mut small = circulant(200, 500, 0).edges().collect::<Vec<_>>();
             small[0].2 += 0.5;
             small[1].2 += 0.5;
@@ -924,7 +924,7 @@ mod tests {
     #[test]
     fn above_threshold_streams_are_bit_identical_to_rebuild() {
         // Every step changes all 120 weights of a 40-node graph, past
-        // the 2/3 · 40 price line.
+        // the c · 40 price line.
         let graphs: Vec<WeightedGraph> = (0..5).map(|t| circulant(40, 120, t)).collect();
         for engine in [
             cad_commute::EngineOptions::Exact,

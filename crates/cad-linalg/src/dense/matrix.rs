@@ -220,6 +220,29 @@ impl DenseMatrix {
         }
     }
 
+    /// Subtract `s` from every lower-triangle entry (diagonal included)
+    /// and copy each result to its transposed position, leaving `A`
+    /// exactly symmetric; the upper triangle's old values are never read.
+    /// `s = 0.0` keeps the lower triangle's bits. The walk goes in
+    /// square tiles, so the column-order writes stay in cache.
+    pub(crate) fn mirror_lower_minus(&mut self, s: f64) {
+        assert!(self.is_square(), "mirror requires a square matrix");
+        const TILE: usize = 32;
+        let n = self.nrows;
+        let x = &mut self.data;
+        for ib in (0..n).step_by(TILE) {
+            for jb in (0..=ib).step_by(TILE) {
+                for i in ib..n.min(ib + TILE) {
+                    for j in jb..(i + 1).min(jb + TILE) {
+                        let v = x[i * n + j] - s;
+                        x[i * n + j] = v;
+                        x[j * n + i] = v;
+                    }
+                }
+            }
+        }
+    }
+
     /// Entry-wise sum `A + B`.
     pub fn add(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
         if self.nrows != other.nrows || self.ncols != other.ncols {

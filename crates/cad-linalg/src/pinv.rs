@@ -6,10 +6,12 @@
 //! components and applies the identity `L⁺ = (L + J/n)⁻¹ − J/n` (`J` the
 //! all-ones matrix) to each one: one dense Cholesky factor and inverse
 //! per component, assembled block-diagonally with exact zeros between
-//! components. On the GMM benchmark's n = 400 Laplacian the Cholesky
-//! route measured 14–28 ms against 330–390 ms for the eigendecomposition
-//! (`bench_linalg`, group `dense_n400`, 2-vCPU Xeon VM). Its two
-//! building blocks stay public:
+//! components. The inverse's back sweep computes one triangle and
+//! mirrors it, fused with the `− J/n` pass, so every `L⁺` this returns
+//! is exactly symmetric. On the GMM benchmark's n = 400 Laplacian the
+//! Cholesky route measured 14–28 ms against 330–390 ms for the
+//! eigendecomposition (`bench_linalg`, group `dense_n400`, 2-vCPU Xeon
+//! VM). Its two building blocks stay public:
 //!
 //! * [`laplacian_pinv_cholesky`] — the identity on a *connected*
 //!   Laplacian, whose bits [`laplacian_pinv`] reproduces on connected
@@ -73,6 +75,7 @@ pub fn sym_pinv(a: &DenseMatrix, rel_cutoff: f64) -> Result<DenseMatrix> {
 }
 
 /// Pseudoinverse of a *connected* graph Laplacian via dense Cholesky.
+/// The result is exactly symmetric (see [`CholeskyFactor::inverse`]).
 ///
 /// Fails (propagating [`LinalgError::FactorizationFailed`]) when the graph
 /// is disconnected, because `L + J/n` is then singular. [`laplacian_pinv`]
@@ -88,19 +91,14 @@ pub fn laplacian_pinv_cholesky(l: &DenseMatrix) -> Result<DenseMatrix> {
 }
 
 /// `(L + J/n)⁻¹ − J/n` for the order-`n` Laplacian whose entry `(i, j)`
-/// is `entry(i, j)`, read straight into the Cholesky factor buffer.
+/// is `entry(i, j)`, read straight into the Cholesky factor buffer. The
+/// `− J/n` rides on the pass that mirrors the inverse's lower triangle.
 fn cholesky_pinv(n: usize, entry: impl Fn(usize, usize) -> f64) -> Result<DenseMatrix> {
     if n == 0 {
         return Ok(DenseMatrix::zeros(0, 0));
     }
     let jn = 1.0 / n as f64;
-    let mut inv = CholeskyFactor::factor_lower(n, |i, j| entry(i, j) + jn)?.inverse()?;
-    for i in 0..n {
-        for v in inv.row_mut(i) {
-            *v -= jn;
-        }
-    }
-    Ok(inv)
+    CholeskyFactor::factor_lower(n, |i, j| entry(i, j) + jn)?.inverse_minus(jn)
 }
 
 /// Pseudoinverse of any graph Laplacian: the exact `L⁺` of paper eq. 3.
@@ -110,7 +108,8 @@ fn cholesky_pinv(n: usize, entry: impl Fn(usize, usize) -> f64) -> Result<DenseM
 /// [`laplacian_pinv_cholesky`], its entries read straight from `l` with
 /// no sub-matrix copy, or [`sym_pinv`] when its factor fails. The
 /// result is block-diagonal: entries between components are exactly
-/// `0.0`, and an isolated vertex gets `0.0`. On a connected `l` the
+/// `0.0`, and an isolated vertex gets `0.0`. It is exactly symmetric,
+/// so `(i, j)` and `(j, i)` hold the same bits. On a connected `l` the
 /// result has the bits of [`laplacian_pinv_cholesky`].
 pub fn laplacian_pinv(l: &DenseMatrix) -> Result<DenseMatrix> {
     if !l.is_square() {
@@ -137,12 +136,17 @@ pub fn laplacian_pinv(l: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(out)
 }
 
-/// `L⁺` of the component of `l` on the ascending vertex list `nodes`.
+/// `L⁺` of the component of `l` on the ascending vertex list `nodes`,
+/// exactly symmetric: a [`sym_pinv`] fallback has its lower triangle
+/// mirrored, as the Cholesky route does.
 fn component_pinv(l: &DenseMatrix, nodes: &[usize]) -> Result<DenseMatrix> {
     let entry = |a: usize, b: usize| l.get(nodes[a], nodes[b]);
     let nc = nodes.len();
-    cholesky_pinv(nc, entry)
-        .or_else(|_| sym_pinv(&DenseMatrix::from_fn(nc, nc, entry), PINV_CUTOFF))
+    cholesky_pinv(nc, entry).or_else(|_| {
+        let mut p = sym_pinv(&DenseMatrix::from_fn(nc, nc, entry), PINV_CUTOFF)?;
+        p.mirror_lower_minus(0.0);
+        Ok(p)
+    })
 }
 
 /// Connected components of the graph whose edges are the nonzero

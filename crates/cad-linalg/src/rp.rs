@@ -32,11 +32,9 @@ impl RademacherSource {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^= z >> 31;
-        if z & 1 == 0 {
-            1.0
-        } else {
-            -1.0
-        }
+        // The low bit of the hash becomes the sign bit of 1.0, with no
+        // branch for the compiler to keep.
+        f64::from_bits(1.0f64.to_bits() | (z & 1) << 63)
     }
 }
 

@@ -1,8 +1,7 @@
 //! (Preconditioned) conjugate gradients.
 //!
 //! One kernel, `cg_solve_panel`, runs `W` independent PCG recurrences
-//! in lockstep; the single-vector [`cg_solve`] and [`cg_solve_from`] are
-//! its `W = 1` instances.
+//! in lockstep; the single-vector [`cg_solve`] is its `W = 1` instance.
 
 use crate::error::LinalgError;
 use crate::solve::precond::Preconditioner;
@@ -128,39 +127,7 @@ pub fn cg_solve(
     pre: &dyn Preconditioner,
     opts: CgOptions,
 ) -> Result<CgOutcome> {
-    solve_one(a, b, None, pre, opts)
-}
-
-/// Warm-started PCG: like [`cg_solve`] but starting from `x0` instead of
-/// the zero vector.
-///
-/// The initial residual is `b − A x0`, so a guess already within
-/// tolerance returns in zero iterations. Convergence is still judged
-/// relative to `‖b‖₂` (not the initial residual), which keeps the
-/// achieved accuracy identical to a cold solve — a warm start only
-/// changes how fast it is reached. Incremental oracle updates feed the
-/// previous snapshot's solution here; small graph deltas leave the
-/// solution nearly unchanged, so most solves finish in a handful of
-/// iterations.
-pub fn cg_solve_from(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    pre: &dyn Preconditioner,
-    opts: CgOptions,
-) -> Result<CgOutcome> {
-    solve_one(a, b, Some(x0), pre, opts)
-}
-
-/// The `W = 1` instance of [`cg_solve_panel`].
-fn solve_one(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    pre: &dyn Preconditioner,
-    opts: CgOptions,
-) -> Result<CgOutcome> {
-    let (x, mut stats) = cg_solve_panel::<1>(a, b.to_vec(), x0.map(<[f64]>::to_vec), 1, pre, opts)?;
+    let (x, mut stats) = cg_solve_panel::<1>(a, b.to_vec(), 1, pre, opts)?;
     let s = stats.pop().expect("one lane solved");
     Ok(CgOutcome {
         x,
@@ -174,8 +141,8 @@ fn solve_one(
 /// Lockstep PCG on a panel of `W` right-hand sides.
 ///
 /// `b` is a row-major `n × W` panel whose column `j` is the right-hand
-/// side of lane `j`; it is consumed as the residual. `x0` (same layout)
-/// is the initial guess, zero when `None`. Lanes `lanes..W` are padding:
+/// side of lane `j`; it is consumed as the residual. Every lane starts
+/// from the zero vector. Lanes `lanes..W` are padding:
 /// they are not solved or reported, and their output columns are
 /// unspecified. Returns the solution panel and one
 /// [`cad_obs::SolveStats`] per solved lane, in lane order.
@@ -185,21 +152,19 @@ fn solve_one(
 /// row sequentially per lane, and dot products sum rows sequentially
 /// from the seed `Iterator::sum` folds from. Column `j` of the result
 /// and its record are therefore bit-identical to a one-column solve of
-/// column `j` ([`cg_solve`] / [`cg_solve_from`] are the `W = 1`
-/// instances). The lanes share one pass over `A` per iteration. A lane
-/// that stops is frozen: its `x` column is no longer written and its α
-/// and β become 0, while the rest of its arithmetic runs on values
-/// nobody reads, which keeps the inner loops free of per-lane control
-/// flow.
+/// column `j` ([`cg_solve`] is the `W = 1` instance). The lanes share
+/// one pass over `A` per iteration. A lane that stops is frozen: its `x`
+/// column is no longer written and its α and β become 0, while the rest
+/// of its arithmetic runs on values nobody reads, which keeps the inner
+/// loops free of per-lane control flow.
 ///
 /// Telemetry matches `lanes` one-column solves exactly: one
-/// `linalg.spmv` per lane per operator application (including a warm
-/// start's initial residual), and one `linalg.cg_solves`,
-/// `linalg.cg_iterations` and histogram record per lane.
+/// `linalg.spmv` per lane per operator application, and one
+/// `linalg.cg_solves`, `linalg.cg_iterations` and histogram record per
+/// lane.
 pub(crate) fn cg_solve_panel<const W: usize>(
     a: &CsrMatrix,
     b: Vec<f64>,
-    x0: Option<Vec<f64>>,
     lanes: usize,
     pre: &dyn Preconditioner,
     opts: CgOptions,
@@ -212,12 +177,11 @@ pub(crate) fn cg_solve_panel<const W: usize>(
             cols: a.ncols(),
         });
     }
-    let x0_len = x0.as_ref().map_or(n * W, Vec::len);
-    if let Some(len) = [b.len(), x0_len].into_iter().find(|&l| l != n * W) {
+    if b.len() != n * W {
         return Err(LinalgError::DimensionMismatch {
             op: "cg_solve_panel",
             expected: (n, W),
-            found: (len / W, W),
+            found: (b.len() / W, W),
         });
     }
     if lanes > W {
@@ -236,18 +200,8 @@ pub(crate) fn cg_solve_panel<const W: usize>(
 
     // `zq` holds z = M⁻¹ r, then q = A p once z is folded into p.
     let mut zq = vec![0.0; n * W];
-    let (mut x, mut rnorm) = match x0 {
-        None => (vec![0.0; n * W], bnorm),
-        Some(x0) => {
-            spmm::<W>(a, &x0, &mut zq);
-            let warm: [bool; W] = std::array::from_fn(|j| solved[j] && !zero[j]);
-            count_spmv(&warm);
-            for (ri, qi) in r.iter_mut().zip(&zq) {
-                *ri -= qi;
-            }
-            (x0, norms::<W>(&r))
-        }
-    };
+    let mut x = vec![0.0; n * W];
+    let mut rnorm = bnorm;
     let mut active: [bool; W] =
         std::array::from_fn(|j| solved[j] && !zero[j] && max_iter > 0 && rnorm[j] > target[j]);
     let mut iterations = [0usize; W];
@@ -470,98 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_exact_solution_takes_no_iterations() {
-        let a = spd();
-        let b = vec![1.0, 2.0, 3.0];
-        let cold = cg_solve(&a, &b, &IdentityPreconditioner, CgOptions::default()).unwrap();
-        let warm = cg_solve_from(
-            &a,
-            &b,
-            &cold.x,
-            &IdentityPreconditioner,
-            CgOptions::default(),
-        )
-        .unwrap();
-        assert!(warm.converged);
-        assert_eq!(warm.iterations, 0, "exact guess must short-circuit");
-        assert_eq!(warm.x, cold.x);
-    }
-
-    #[test]
-    fn warm_start_matches_cold_solution() {
-        let a = spd();
-        let b = vec![1.0, -2.0, 0.5];
-        let cold = cg_solve(
-            &a,
-            &b,
-            &IdentityPreconditioner,
-            CgOptions {
-                tol: 1e-12,
-                max_iter: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // A deliberately wrong guess still converges to the same answer.
-        let warm = cg_solve_from(
-            &a,
-            &b,
-            &[5.0, -5.0, 5.0],
-            &IdentityPreconditioner,
-            CgOptions {
-                tol: 1e-12,
-                max_iter: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(warm.converged);
-        for (w, c) in warm.x.iter().zip(&cold.x) {
-            assert!((w - c).abs() < 1e-9, "{w} vs {c}");
-        }
-    }
-
-    #[test]
-    fn warm_start_zero_guess_matches_cold_solve() {
-        let a = spd();
-        let b = vec![0.5, 1.5, -0.5];
-        let cold = cg_solve(&a, &b, &IdentityPreconditioner, CgOptions::default()).unwrap();
-        let warm = cg_solve_from(
-            &a,
-            &b,
-            &[0.0; 3],
-            &IdentityPreconditioner,
-            CgOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(warm.iterations, cold.iterations);
-        for (w, c) in warm.x.iter().zip(&cold.x) {
-            assert_eq!(w.to_bits(), c.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_start_rejects_bad_dimensions() {
-        let a = spd();
-        assert!(cg_solve_from(
-            &a,
-            &[1.0; 3],
-            &[1.0; 2],
-            &IdentityPreconditioner,
-            CgOptions::default()
-        )
-        .is_err());
-        assert!(cg_solve_from(
-            &a,
-            &[1.0; 2],
-            &[1.0; 3],
-            &IdentityPreconditioner,
-            CgOptions::default()
-        )
-        .is_err());
-    }
-
-    #[test]
     fn residual_trace_records_monotone_tail_without_perturbing_solve() {
         let a = spd();
         let b = vec![1.0, 2.0, 3.0];
@@ -583,6 +445,7 @@ mod tests {
         }
         assert!(plain.residual_trace.is_empty());
         assert_eq!(traced.residual_trace.len(), traced.iterations);
+        assert_eq!(traced.stats().residual_trace, traced.residual_trace);
         // The last trace entry is exactly the reported final residual.
         assert_eq!(
             traced.residual_trace.last().unwrap().to_bits(),
@@ -621,21 +484,6 @@ mod tests {
         // The capped ring holds the chronological tail of the full trace.
         let tail = &full.residual_trace[full.residual_trace.len() - 2..];
         assert_eq!(capped.residual_trace, tail);
-    }
-
-    #[test]
-    fn warm_start_trace_is_shorter_than_cold() {
-        let a = spd();
-        let b = vec![1.0, 2.0, 3.0];
-        let opts = CgOptions {
-            residual_trace_cap: 32,
-            ..CgOptions::default()
-        };
-        let cold = cg_solve(&a, &b, &IdentityPreconditioner, opts).unwrap();
-        let warm = cg_solve_from(&a, &b, &cold.x, &IdentityPreconditioner, opts).unwrap();
-        assert!(warm.residual_trace.is_empty(), "exact guess: no iterations");
-        assert_eq!(cold.residual_trace.len(), cold.iterations);
-        assert_eq!(cold.stats().residual_trace, cold.residual_trace);
     }
 
     #[test]

@@ -263,81 +263,51 @@ impl LaplacianSolver {
         b: &[f64],
         cg: CgOptions,
     ) -> Result<(Vec<f64>, cad_obs::SolveStats)> {
-        let (x, mut stats) = self.solve_panel_with::<1>(b.to_vec(), None, 1, cg)?;
-        Ok((x, stats.pop().expect("one lane solved")))
-    }
-
-    /// Warm-started solve: like [`LaplacianSolver::solve`], with `x0`
-    /// (typically the solution against the previous snapshot's
-    /// Laplacian) as the CG initial guess.
-    pub fn solve_from(&self, b: &[f64], x0: &[f64]) -> Result<Vec<f64>> {
-        self.solve_from_stats(b, x0).map(|(x, _)| x)
-    }
-
-    /// Warm-started solve returning the PCG convergence record.
-    ///
-    /// The achieved tolerance is the same as a cold
-    /// [`LaplacianSolver::solve_stats`] (convergence is judged against
-    /// `‖b‖`, not the initial residual); a good guess only shrinks the
-    /// iteration count. For the grounded strategy `x0` is re-based so
-    /// the pinned node of each component sits at zero — the gauge the
-    /// reduced system is solved in — before being restricted.
-    pub fn solve_from_stats(
-        &self,
-        b: &[f64],
-        x0: &[f64],
-    ) -> Result<(Vec<f64>, cad_obs::SolveStats)> {
-        let (x, mut stats) =
-            self.solve_panel_with::<1>(b.to_vec(), Some(x0.to_vec()), 1, self.cg)?;
+        let (x, mut stats) = self.solve_panel_with::<1>(b.to_vec(), 1, cg)?;
         Ok((x, stats.pop().expect("one lane solved")))
     }
 
     /// Solve up to `W` right-hand sides in one lockstep PCG run (see
     /// [`crate::solve::cg`]).
     ///
-    /// `b` and the optional warm start `x0` are row-major `n × W`
-    /// panels. Column `j < lanes` is centered, restricted, solved and
-    /// expanded exactly as [`LaplacianSolver::solve_stats`] (or
-    /// [`LaplacianSolver::solve_from_stats`] with column `j` of `x0`)
-    /// treats a single vector, so its solution and record are
+    /// `b` is a row-major `n × W` panel. Column `j < lanes` is centered,
+    /// restricted, solved and expanded exactly as
+    /// [`LaplacianSolver::solve_stats`] treats a single vector, so its
+    /// solution and record are
     /// bit-identical to that call. Columns `lanes..W` are padding: not
     /// solved, not reported, and unspecified in the result.
     pub fn solve_panel<const W: usize>(
         &self,
         b: Vec<f64>,
-        x0: Option<Vec<f64>>,
         lanes: usize,
     ) -> Result<(Vec<f64>, Vec<cad_obs::SolveStats>)> {
-        self.solve_panel_with::<W>(b, x0, lanes, self.cg)
+        self.solve_panel_with::<W>(b, lanes, self.cg)
     }
 
     fn solve_panel_with<const W: usize>(
         &self,
         mut b: Vec<f64>,
-        x0: Option<Vec<f64>>,
         lanes: usize,
         cg: CgOptions,
     ) -> Result<(Vec<f64>, Vec<cad_obs::SolveStats>)> {
-        let x0_len = x0.as_ref().map_or(self.n * W, Vec::len);
-        if let Some(len) = [b.len(), x0_len].into_iter().find(|&l| l != self.n * W) {
+        if b.len() != self.n * W {
             return Err(LinalgError::DimensionMismatch {
                 op: "laplacian solve",
                 expected: (self.n, W),
-                found: (len / W, W),
+                found: (b.len() / W, W),
             });
         }
         let traced = trace_start();
         let pre = self.precond.as_dyn();
         let (x, stats) = match self.kind {
-            SolverKind::Regularized(_) => cg_solve_panel::<W>(&self.op, b, x0, lanes, pre, cg)?,
+            SolverKind::Regularized(_) => cg_solve_panel::<W>(&self.op, b, lanes, pre, cg)?,
             SolverKind::Grounded => {
                 // Project b per component onto 1⊥, restrict to the
                 // reduced system, solve, expand (grounded entries = 0)
                 // and re-center.
                 self.center_per_component::<W>(&mut b);
-                let br = self.restrict::<W>(b, false);
-                let x0r = x0.map(|x0| self.restrict::<W>(x0, true));
-                let (xr, stats) = cg_solve_panel::<W>(&self.op, br, x0r, lanes, pre, cg)?;
+                let br = self.restrict::<W>(b);
+                let (xr, stats) = cg_solve_panel::<W>(&self.op, br, lanes, pre, cg)?;
                 let mut x = self.expand::<W>(xr);
                 self.center_per_component::<W>(&mut x);
                 (x, stats)
@@ -348,23 +318,12 @@ impl LaplacianSolver {
     }
 
     /// Keep the rows of the non-grounded nodes of an `n × W` panel, in
-    /// place. With `rebase`, each row first has its component's grounded
-    /// row subtracted, moving a guess into the gauge the reduced system
-    /// is solved in (subtracting the +0.0 shift otherwise is exact).
-    fn restrict<const W: usize>(&self, mut v: Vec<f64>, rebase: bool) -> Vec<f64> {
-        let mut shift = vec![0.0; self.n_components * W];
-        if rebase {
-            for (s, &g) in shift.chunks_exact_mut(W).zip(&self.ground) {
-                s.copy_from_slice(&v[g * W..(g + 1) * W]);
-            }
-        }
+    /// place.
+    fn restrict<const W: usize>(&self, mut v: Vec<f64>) -> Vec<f64> {
         // full_index is increasing, so row f ≥ r is read before any
         // later step overwrites it.
         for (r, &f) in self.full_index.iter().enumerate() {
-            let c = self.component[f] as usize;
-            for j in 0..W {
-                v[r * W + j] = v[f * W + j] - shift[c * W + j];
-            }
+            v.copy_within(f * W..(f + 1) * W, r * W);
         }
         v.truncate(self.full_index.len() * W);
         v
@@ -724,90 +683,6 @@ mod tests {
             ic0 < plain,
             "IC(0) took {ic0} iterations, plain CG took {plain}"
         );
-    }
-
-    #[test]
-    fn warm_start_reuses_previous_solution() {
-        let l = path4_laplacian();
-        let solver = LaplacianSolver::new(&l, LaplacianSolverOptions::default()).unwrap();
-        let b = vec![1.0, 0.0, 0.0, -1.0];
-        let (x, cold) = solver.solve_stats(&b).unwrap();
-        // Re-solving the same system from its own solution is free.
-        let (xw, warm) = solver.solve_from_stats(&b, &x).unwrap();
-        assert!(warm.converged);
-        assert!(
-            warm.iterations < cold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        for (a, b) in xw.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-8);
-        }
-        // A slightly perturbed Laplacian still profits from the guess
-        // and lands on that system's own solution.
-        let mut tri: Vec<(u32, u32, f64)> =
-            l.iter().map(|(i, j, v)| (i as u32, j as u32, v)).collect();
-        for (i, j) in [(1u32, 2u32), (2, 1)] {
-            tri.push((i, j, -0.05));
-        }
-        for i in [1u32, 2] {
-            tri.push((i, i, 0.05));
-        }
-        let l2 = CsrMatrix::from_triplets(4, 4, &tri);
-        let s2 = LaplacianSolver::new(&l2, LaplacianSolverOptions::default()).unwrap();
-        let (fresh, _) = s2.solve_stats(&b).unwrap();
-        let (xw2, warm2) = s2.solve_from_stats(&b, &x).unwrap();
-        assert!(warm2.converged);
-        for (a, b) in xw2.iter().zip(&fresh) {
-            assert!((a - b).abs() < 1e-7, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn warm_start_regularized_and_disconnected() {
-        // Regularized path.
-        let l = path4_laplacian();
-        let r = LaplacianSolver::new(
-            &l,
-            LaplacianSolverOptions {
-                kind: SolverKind::Regularized(1e-8),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = vec![1.0, -1.0, 1.0, -1.0];
-        let x = r.solve(&b).unwrap();
-        let (xw, stats) = r.solve_from_stats(&b, &x).unwrap();
-        assert!(stats.converged);
-        for (a, b) in xw.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-7);
-        }
-        // Grounded path with two components: the per-component re-basing
-        // must keep the guess consistent in each gauge.
-        let tri = vec![
-            (0u32, 1u32, -2.0),
-            (1, 0, -2.0),
-            (0, 0, 2.0),
-            (1, 1, 2.0),
-            (2, 3, -0.5),
-            (3, 2, -0.5),
-            (2, 2, 0.5),
-            (3, 3, 0.5),
-        ];
-        let l2 = CsrMatrix::from_triplets(4, 4, &tri);
-        let s = LaplacianSolver::new(&l2, LaplacianSolverOptions::default()).unwrap();
-        let b2 = vec![1.0, -1.0, 0.5, -0.5];
-        let x2 = s.solve(&b2).unwrap();
-        let (xw2, warm) = s.solve_from_stats(&b2, &x2).unwrap();
-        assert!(warm.converged);
-        assert_eq!(warm.iterations, 0, "own solution is already converged");
-        for (a, b) in xw2.iter().zip(&x2) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        // Dimension checks.
-        assert!(s.solve_from(&b2, &[0.0; 3]).is_err());
-        assert!(s.solve_from(&[0.0; 3], &b2).is_err());
     }
 
     #[test]

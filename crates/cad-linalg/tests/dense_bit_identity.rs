@@ -4,6 +4,13 @@
 //! output must be bit-identical (`f64::to_bits`), and a failed
 //! factorization must report the same pivot index.
 //!
+//! `inverse` and `laplacian_pinv_cholesky` compute the lower triangle
+//! and mirror it: they must match the reference bit for bit on the lower
+//! triangle (diagonal included) and be exactly symmetric. The
+//! reference's upper triangle is not the transpose of its lower one to
+//! the last bit, so it is not compared. Everything else is compared on
+//! the full matrix.
+//!
 //! Graphs are random connected weighted Laplacians with `n ∈ 0..=70`
 //! (every remainder of the four-row fusion) and weights spread
 //! log-uniformly over `1e-3..1e3`.
@@ -209,6 +216,26 @@ fn same_matrix(new: Result<DenseMatrix>, old: Result<DenseMatrix>) -> bool {
     }
 }
 
+/// Same bits as `old` on the lower triangle and exactly symmetric on
+/// success, same error (pivot index included) on failure.
+fn same_lower_and_symmetric(new: Result<DenseMatrix>, old: Result<DenseMatrix>) -> bool {
+    match (new, old) {
+        (Ok(a), Ok(b)) => {
+            let n = a.nrows();
+            n == b.nrows()
+                && a.is_square()
+                && (0..n).all(|i| {
+                    (0..=i).all(|j| {
+                        let x = a.get(i, j).to_bits();
+                        x == b.get(i, j).to_bits() && x == a.get(j, i).to_bits()
+                    })
+                })
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
 /// `L + J/n`, the SPD matrix the Laplacian pseudoinverse factors.
 fn shifted(l: &DenseMatrix) -> DenseMatrix {
     let jn = 1.0 / l.nrows() as f64;
@@ -218,7 +245,7 @@ fn shifted(l: &DenseMatrix) -> DenseMatrix {
 /// Every entry point against its reference on the Laplacian `l`.
 fn check_all(l: &DenseMatrix, rhs: &[f64], shift: f64) -> std::result::Result<(), String> {
     let n = l.nrows();
-    if !same_matrix(
+    if !same_lower_and_symmetric(
         laplacian_pinv_cholesky(l),
         reference::laplacian_pinv_cholesky(l),
     ) {
@@ -238,7 +265,7 @@ fn check_all(l: &DenseMatrix, rhs: &[f64], shift: f64) -> std::result::Result<()
         (Ok(new), Ok(old)) => (new, old),
         _ => return Err(format!("L + J/n did not factor at n = {n}")),
     };
-    if !same_matrix(new.inverse(), old.inverse()) {
+    if !same_lower_and_symmetric(new.inverse(), old.inverse()) {
         return Err(format!("inverse differs at n = {n}"));
     }
     let b = &rhs[..n];
@@ -256,7 +283,7 @@ fn check_all(l: &DenseMatrix, rhs: &[f64], shift: f64) -> std::result::Result<()
     }
     let factored = |f: Result<CholeskyFactor>| f.and_then(|f| f.inverse());
     let factored_ref = |f: Result<reference::CholeskyFactor>| f.and_then(|f| f.inverse());
-    if !same_matrix(
+    if !same_lower_and_symmetric(
         factored(CholeskyFactor::factor(&indefinite)),
         factored_ref(reference::CholeskyFactor::factor(&indefinite)),
     ) {
@@ -289,7 +316,7 @@ proptest! {
         // components: the Cholesky route breaks down or returns an
         // ill-conditioned matrix, and sym_pinv is the fallback.
         let l = laplacian(n, extras.iter().map(|&(u, v, e)| (u, v, weight(e))));
-        prop_assert!(same_matrix(
+        prop_assert!(same_lower_and_symmetric(
             laplacian_pinv_cholesky(&l),
             reference::laplacian_pinv_cholesky(&l),
         ));

@@ -1,5 +1,5 @@
-//! `LaplacianSolver::solve_panel` against per-column `solve_stats` /
-//! `solve_from_stats`: the solutions, every `SolveStats` field and the
+//! `LaplacianSolver::solve_panel` against per-column `solve_stats`: the
+//! solutions, every `SolveStats` field and the
 //! telemetry must be bit-identical, for every preconditioner and solver
 //! kind, on graphs with several components and isolated nodes, with
 //! all-zero right-hand sides and padded panels.
@@ -67,23 +67,13 @@ fn telemetry(f: impl FnOnce()) -> ([u64; 3], cad_obs::Histogram, cad_obs::Histog
     )
 }
 
-/// Solve the `k` columns of the row-major `n × k` matrices `b` (and
-/// `x0`) per column and as `W`-wide panels, and compare everything.
-fn compare(
-    solver: &LaplacianSolver,
-    n: usize,
-    k: usize,
-    b: &[f64],
-    x0: Option<&[f64]>,
-) -> Result<(), String> {
+/// Solve the `k` columns of the row-major `n × k` matrix `b` per column
+/// and as `W`-wide panels, and compare everything.
+fn compare(solver: &LaplacianSolver, n: usize, k: usize, b: &[f64]) -> Result<(), String> {
     let mut single = Vec::new();
     let single_tel = telemetry(|| {
         for j in 0..k {
-            let bj = column(b, k, j);
-            single.push(match x0 {
-                None => solver.solve_stats(&bj),
-                Some(x0) => solver.solve_from_stats(&bj, &column(x0, k, j)),
-            });
+            single.push(solver.solve_stats(&column(b, k, j)));
         }
     });
     let mut panels = Vec::new();
@@ -103,7 +93,7 @@ fn compare(
                     })
                     .collect()
             };
-            panels.push(solver.solve_panel::<W>(pack(b), x0.map(pack), lanes));
+            panels.push(solver.solve_panel::<W>(pack(b), lanes));
         }
     });
     for (p, panel) in panels.into_iter().enumerate() {
@@ -133,8 +123,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random graphs (often disconnected, with isolated nodes), k drawn
-    /// from {1, 7, 8, 9, 50}, every third column of b all-zero, cold and
-    /// warm starts, capped and uncapped iterations, traced residuals.
+    /// from {1, 7, 8, 9, 50}, every third column of b all-zero, capped
+    /// and uncapped iterations, traced residuals.
     #[test]
     fn panel_solve_is_bit_identical_to_per_column(
         n in 2usize..36,
@@ -153,7 +143,6 @@ proptest! {
                 *v = 0.0;
             }
         }
-        let x0: Vec<f64> = (0..n * k).map(|_| *vals.next().unwrap()).collect();
         for kind in [SolverKind::Grounded, SolverKind::Regularized(1e-3)] {
             for precond in PRECONDS {
                 let solver = LaplacianSolver::new(&l, LaplacianSolverOptions {
@@ -162,8 +151,7 @@ proptest! {
                     cg: CgOptions { tol: 1e-10, max_iter, residual_trace_cap: 4 },
                 })
                 .unwrap();
-                compare(&solver, n, k, &b, None)?;
-                compare(&solver, n, k, &b, Some(&x0))?;
+                compare(&solver, n, k, &b)?;
             }
         }
     }
@@ -208,7 +196,7 @@ fn traced_panel_records_one_event_per_column() {
                 }
             })
             .collect();
-        solver.solve_panel::<W>(panel, None, lanes).unwrap();
+        solver.solve_panel::<W>(panel, lanes).unwrap();
     }
     let all = events();
     assert_eq!(all.len(), 2 * k);

@@ -164,20 +164,20 @@ pub fn error_body(code: &str, message: &str) -> String {
     s
 }
 
-/// Find the end of the head: the index one past the blank line.
-/// Accepts both `\r\n\r\n` and bare `\n\n` separators, preferring the
-/// first `\r\n\r\n` anywhere in `buf`. `buf[..scanned]` is known to
-/// hold neither, so only the new bytes (and the few before them that a
-/// separator may straddle) are searched.
+/// Find the end of the head: the index one past its first blank line.
+/// A line ends at `\n`, optionally preceded by `\r`, as `str::lines`
+/// splits the head afterwards, so the head ends at the first `\n\n` or
+/// `\n\r\n`, whichever comes first. Taking the earliest keeps the
+/// split independent of how the bytes arrived. `buf[..scanned]` is
+/// known to hold neither, so only the new bytes (and the two before
+/// them that a separator may straddle) are searched.
 fn head_end(buf: &[u8], scanned: usize) -> Option<usize> {
-    let find = |sep: &[u8]| {
-        let from = scanned.saturating_sub(sep.len() - 1);
-        buf[from..]
-            .windows(sep.len())
-            .position(|w| w == sep)
-            .map(|i| from + i + sep.len())
-    };
-    find(b"\r\n\r\n").or_else(|| find(b"\n\n"))
+    let from = scanned.saturating_sub(2);
+    (from..buf.len()).find_map(|i| match buf[i..] {
+        [b'\n', b'\n', ..] => Some(i + 2),
+        [b'\n', b'\r', b'\n', ..] => Some(i + 3),
+        _ => None,
+    })
 }
 
 /// Read one request from a connection that carries no other: the
@@ -194,16 +194,8 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
 }
 
 /// Read the next request on a keep-alive connection, honouring
-/// `limits`.
-///
-/// Applies the read/write timeouts to the socket, buffers the head
-/// across arbitrarily fragmented writes up to the head cap, validates
-/// the request line, parses headers, and reads exactly the declared
-/// `Content-Length` bytes of body (zero without the header). `carry`
-/// holds the connection's bytes already read past the previous
-/// request: they are parsed first, and bytes past this request's body
-/// are left there for the next call, so a pipelining peer is served
-/// the same however its requests are split into TCP segments.
+/// `limits`: applies the read/write timeouts to the socket, then reads
+/// as [`read_request_from`] does.
 pub fn read_request_pipelined(
     stream: &mut TcpStream,
     limits: &HttpLimits,
@@ -215,7 +207,24 @@ pub fn read_request_pipelined(
     stream
         .set_write_timeout(limits.write_timeout)
         .map_err(ReadError::Io)?;
+    read_request_from(stream, limits, carry)
+}
 
+/// Read the next request from any byte source; the socket deadlines of
+/// `limits` are the caller's to apply.
+///
+/// Buffers the head across arbitrarily fragmented reads up to the head
+/// cap, validates the request line, parses headers, and reads exactly
+/// the declared `Content-Length` bytes of body (zero without the
+/// header). `carry` holds the source's bytes already read past the
+/// previous request: they are parsed first, and bytes past this
+/// request's body are left there for the next call, so a pipelining
+/// peer is served the same however its requests are split into reads.
+pub fn read_request_from(
+    stream: &mut impl Read,
+    limits: &HttpLimits,
+    carry: &mut Vec<u8>,
+) -> Result<Request, ReadError> {
     let mut buf: Vec<u8> = std::mem::take(carry);
     buf.reserve(1024);
     let mut chunk = [0u8; 1024];
@@ -532,7 +541,8 @@ mod tests {
         for buf in [
             &b"GET / HTTP/1.1\r\nHost: x\r\n\r\nbody"[..],
             b"GET / HTTP/1.1\nHost: x\n\nbody",
-            // `\r\n\r\n` anywhere wins over an earlier bare `\n\n`.
+            // Mixed line ends: a `\r\n` after a bare `\n` ends the head.
+            b"GET / HTTP/1.1\n\r\nbody",
             b"GET / HTTP/1.1\n\nx\r\n\r\n",
         ] {
             let full = head_end(buf, 0).expect("a separator");
@@ -544,6 +554,9 @@ mod tests {
             }
         }
         assert_eq!(head_end(b"GET / HTTP/1.1\r\nHost: x\r\n", 0), None);
+        // The earliest blank line ends the head, whichever its line
+        // ends: a later `\r\n\r\n` belongs to the next request.
+        assert_eq!(head_end(b"GET / HTTP/1.1\n\nx\r\n\r\n", 0), Some(16));
     }
 
     #[test]

@@ -67,14 +67,16 @@ fn solver_fp(s: &cad_linalg::solve::LaplacianSolverOptions) -> String {
 /// builds that predate `cad_linalg::pinv::laplacian_pinv` stored
 /// eigendecomposition bits for disconnected snapshots under the bare
 /// names, and a warm hit on those must not differ from a cold build.
+/// They also carry `sym=lower`: `L⁺` is now its lower triangle mirrored,
+/// and builds before that stored an upper triangle with other last bits.
 /// The embedding carries `signs=pair` for the same reason: builds that
 /// predate pair-keyed sketch signs stored coordinates from signs keyed
 /// by edge position.
 pub fn engine_fingerprint(opts: &EngineOptions, n_nodes: usize) -> String {
     match opts {
-        EngineOptions::Exact => "exact;pinv=per-component".to_string(),
+        EngineOptions::Exact => "exact;pinv=per-component;sym=lower".to_string(),
         EngineOptions::ShortestPath => "shortest-path".to_string(),
-        EngineOptions::Corrected => "corrected;pinv=per-component".to_string(),
+        EngineOptions::Corrected => "corrected;pinv=per-component;sym=lower".to_string(),
         EngineOptions::Approximate(e) => {
             format!(
                 "embedding;k={};seed={};signs=pair;{}",
@@ -535,6 +537,24 @@ mod tests {
             h.update(&[0xff]);
             h.update(old_fp.as_bytes());
             assert_ne!(cache_key(&g, &opts), to_hex(&h.finish()), "{old_fp}");
+        }
+    }
+
+    #[test]
+    fn exact_keys_differ_from_full_back_sweep_era_keys() {
+        // Older builds computed both triangles of `L⁺` on their own, so
+        // their upper triangle (which distances read) has other bits.
+        let g = graph(1.0);
+        for (opts, old_fp) in [
+            (EngineOptions::Exact, "exact;pinv=per-component"),
+            (EngineOptions::Corrected, "corrected;pinv=per-component"),
+        ] {
+            let mut h = Sha256::new();
+            h.update(&snapshot_bytes(&g));
+            h.update(&[0xff]);
+            h.update(old_fp.as_bytes());
+            assert_ne!(cache_key(&g, &opts), to_hex(&h.finish()), "{old_fp}");
+            assert!(engine_fingerprint(&opts, g.n_nodes()).ends_with(";sym=lower"));
         }
     }
 

@@ -1,7 +1,9 @@
 //! Property-based tests of the commute-time engines on randomized
 //! graphs — the invariants behind paper eq. 3.
 
-use cad_commute::{CommuteEmbedding, EmbeddingOptions, ExactCommute};
+use cad_commute::{
+    CommuteEmbedding, CorrectedCommute, DistanceOracle, EmbeddingOptions, ExactCommute,
+};
 use cad_graph::WeightedGraph;
 use proptest::prelude::*;
 
@@ -26,8 +28,43 @@ fn connected_graph(n: usize) -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
+/// Strategy: a graph on `n` nodes with random edges only, so it is
+/// often disconnected and may hold isolated nodes.
+fn any_graph(n: usize) -> impl Strategy<Value = WeightedGraph> {
+    proptest::collection::vec((0..n as u32, 0..n as u32, 0.2f64..3.0), 0..3 * n).prop_map(
+        move |edges| {
+            let edges: Vec<(usize, usize, f64)> = edges
+                .into_iter()
+                .filter(|&(u, v, _)| u != v)
+                .map(|(u, v, w)| (u as usize, v as usize, w))
+                .collect();
+            WeightedGraph::from_edges(n, &edges).expect("valid random graph")
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn fresh_exact_and_corrected_distances_are_bitwise_symmetric(
+        connected in connected_graph(40),
+        any in any_graph(40),
+    ) {
+        for g in [&connected, &any] {
+            let exact = ExactCommute::compute(g).expect("exact");
+            let corrected = CorrectedCommute::compute(g).expect("corrected");
+            let n = g.n_nodes();
+            for u in 0..n {
+                for v in 0..u {
+                    let (a, b) = (exact.commute_distance(u, v), exact.commute_distance(v, u));
+                    prop_assert!(a.to_bits() == b.to_bits(), "exact c({u},{v}) {a} vs c({v},{u}) {b}");
+                    let (a, b) = (corrected.distance(u, v), corrected.distance(v, u));
+                    prop_assert!(a.to_bits() == b.to_bits(), "corrected d({u},{v}) {a} vs d({v},{u}) {b}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn commute_time_is_a_metric(g in connected_graph(9)) {

@@ -32,9 +32,9 @@ counter linalg.spmv 1294
 counter linalg.cg_solves 70
 counter linalg.cg_iterations 1294
 counter linalg.jl_projections 70
-counter commute.oracle_builds 82
-counter commute.incremental_updates 60
-counter commute.rebuild_fallbacks 59
+counter commute.oracle_builds 104
+counter commute.incremental_updates 38
+counter commute.rebuild_fallbacks 81
 counter store.cache_hits 6
 counter store.cache_misses 6
 counter store.bytes_read 633638
@@ -53,12 +53,12 @@ labeled commute.rebuild_fallbacks{reason=structural} 4
 labeled commute.rebuild_fallbacks{reason=degenerate} 0
 labeled commute.rebuild_fallbacks{reason=unsupported} 2
 labeled commute.rebuild_fallbacks{reason=refresh} 1
-labeled commute.rebuild_fallbacks{reason=cost} 52
+labeled commute.rebuild_fallbacks{reason=cost} 74
 labeled commute.rebuild_fallbacks{reason=other} 0
 hist cg_iterations 70
 hist cg_residuals 70
-hist oracle_build_secs 82
-hist oracle_update_secs 60
+hist oracle_build_secs 104
+hist oracle_update_secs 38
 hist transition_score_secs 119
 hist pack_io_secs 12
 hist serve_push_secs 0
@@ -90,7 +90,7 @@ fn backends(threads: usize) -> [(&'static str, EngineOptions); 3] {
 /// step is a weight-only delta. A bridge joins the rings at instance 3
 /// only, so instances 3 and 4 arrive as structural deltas. Most of the
 /// other steps change 16 of the 32 weights, past the exact oracle's
-/// update-or-rebuild price (2/3 · 16 nodes), and rebuild for cost;
+/// update-or-rebuild price (0.45 · 16 nodes), and rebuild for cost;
 /// [`quiet_stream`] keeps the auto-mode refresh covered.
 fn stream() -> Vec<WeightedGraph> {
     (0..40)
