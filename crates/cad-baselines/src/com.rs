@@ -95,25 +95,28 @@ impl NodeScorer for ComDetector {
             ComSupport::AllPairs => {
                 let n = seq.n_nodes();
                 // Oracles come from the shared factory — COM keeps no
-                // distance tables of its own — and both the per-instance
-                // builds and the O(n²) per-transition accumulations run
-                // on the cad-linalg worker pool.
-                let engines =
-                    cad_linalg::par::par_map_result(seq.graphs(), self.threads, |_, g| {
-                        CommuteTimeEngine::compute(g, &self.engine)
-                    })?;
-                cad_linalg::par::par_tabulate_result(seq.n_transitions(), self.threads, |t| {
-                    let (e0, e1) = (&engines[t], &engines[t + 1]);
-                    let mut scores = vec![0.0; n];
-                    for i in 0..n {
-                        for j in (i + 1)..n {
-                            let d = (e1.commute_distance(i, j) - e0.commute_distance(i, j)).abs();
-                            scores[i] += d;
-                            scores[j] += d;
+                // distance tables of its own — and stream through the
+                // same build-next, score-pair, drop-previous loop as
+                // CAD, with the O(n²) per-transition accumulations on
+                // the cad-linalg worker threads.
+                cad_linalg::par::par_adjacent_pairs(
+                    seq.len(),
+                    self.threads,
+                    |t| CommuteTimeEngine::compute(seq.graph(t), &self.engine),
+                    |_, _| {},
+                    |_, e0, e1| {
+                        let mut scores = vec![0.0; n];
+                        for i in 0..n {
+                            for j in (i + 1)..n {
+                                let d =
+                                    (e1.commute_distance(i, j) - e0.commute_distance(i, j)).abs();
+                                scores[i] += d;
+                                scores[j] += d;
+                            }
                         }
-                    }
-                    Ok(scores)
-                })
+                        Ok(scores)
+                    },
+                )
             }
         }
     }

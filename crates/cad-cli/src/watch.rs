@@ -441,6 +441,15 @@ mod tests {
     }
 
     #[test]
+    fn ndjson_snapshot_refuses_repeated_edges() {
+        let repeated = graph_from_ndjson(r#"{"nodes": 2, "edges": [[0, 1, 1.0], [1, 0, 2.5]]}"#);
+        assert!(
+            matches!(&repeated, Err(CliError::Usage(m)) if m.contains("repeats edge {1, 0}")),
+            "{repeated:?}"
+        );
+    }
+
+    #[test]
     fn event_lines_are_valid_single_line_json() {
         let tr = TransitionAnomalies {
             t: 3,

@@ -261,9 +261,13 @@ impl CadDetector {
     /// (steps 3–7 of Algorithm 1).
     ///
     /// Oracle construction (one per instance, the dominant cost) and
-    /// per-transition scoring both run on the `cad_linalg::par` worker
-    /// pool with [`CadOptions::threads`] workers. Work is striped by
-    /// index and collected in order, so output is bit-identical for any
+    /// per-transition scoring stream through
+    /// [`cad_linalg::par::par_adjacent_pairs`] with
+    /// [`CadOptions::threads`] workers: instances are built a chunk of
+    /// `threads` at a time, each transition is scored as soon as both
+    /// its oracles exist, and only the newest oracle outlives its chunk,
+    /// so at most `threads + 1` oracles are held at once. Results are
+    /// collected in index order, so output is bit-identical for any
     /// thread count.
     pub fn score_sequence(&self, seq: &GraphSequence) -> Result<Vec<Vec<EdgeScore>>> {
         self.score_sequence_metered(seq).map(|(scored, _)| scored)
@@ -294,41 +298,31 @@ impl CadDetector {
                 },
             ));
         }
-        // One oracle per instance, reused by both adjacent transitions.
-        let engines: Vec<SharedOracle> = {
-            let _span = cad_obs::span!("build_oracles");
-            cad_linalg::par::par_map_result(seq.graphs(), self.opts.threads, |t, g| {
-                crate::build_oracle(self.provider.as_deref(), t, g, &self.opts)
-            })?
-        };
-        // Build stats ride on the oracles, which the pool returned in
-        // instance order — merging here is thread-count invariant.
-        let instances = engines
-            .iter()
-            .enumerate()
-            .map(|(t, e)| InstanceMetrics {
-                t,
-                build: e
-                    .build_stats()
-                    .cloned()
-                    .unwrap_or_else(|| cad_obs::OracleBuildStats::direct(e.kind().name(), 0.0)),
-            })
-            .collect();
-        let timed: Vec<(Vec<EdgeScore>, f64)> = {
-            let _span = cad_obs::span!("score_transitions");
-            cad_linalg::par::par_tabulate_result(seq.n_transitions(), self.opts.threads, |t| {
+        // One oracle per instance, each reused by both of its
+        // transitions and dropped once the later one is scored. Build
+        // stats are taken as each oracle is built, in instance order, so
+        // merging them is thread-count invariant.
+        let mut instances = Vec::with_capacity(seq.len());
+        let timed = cad_linalg::par::par_adjacent_pairs(
+            seq.len(),
+            self.opts.threads,
+            |t| crate::build_oracle(self.provider.as_deref(), t, seq.graph(t), &self.opts),
+            |t, e: &SharedOracle| {
+                instances.push(InstanceMetrics {
+                    t,
+                    build: e
+                        .build_stats()
+                        .cloned()
+                        .unwrap_or_else(|| cad_obs::OracleBuildStats::direct(e.kind().name(), 0.0)),
+                })
+            },
+            |t, e_t, e_t1| {
                 let (res, secs) = cad_obs::time_it(|| {
-                    transition_edge_scores(
-                        seq,
-                        t,
-                        engines[t].as_ref(),
-                        engines[t + 1].as_ref(),
-                        self.opts.kind,
-                    )
+                    transition_edge_scores(seq, t, e_t.as_ref(), e_t1.as_ref(), self.opts.kind)
                 });
                 res.map(|edges| (edges, secs))
-            })?
-        };
+            },
+        )?;
         let mut scored = Vec::with_capacity(timed.len());
         let mut transitions = Vec::with_capacity(timed.len());
         for (t, (edges, secs)) in timed.into_iter().enumerate() {
@@ -586,6 +580,164 @@ mod tests {
                 assert_eq!(a.build.backend, b.build.backend);
                 assert_eq!(a.build.solves.len(), b.build.solves.len());
             }
+        }
+    }
+
+    /// How many [`Counted`] oracles exist now, at most, and were built.
+    #[derive(Default)]
+    struct LiveOracles {
+        now: std::sync::atomic::AtomicUsize,
+        peak: std::sync::atomic::AtomicUsize,
+        builds: std::sync::atomic::AtomicUsize,
+    }
+
+    /// A fresh oracle that counts itself alive until dropped.
+    struct Counted {
+        inner: SharedOracle,
+        live: Arc<LiveOracles>,
+    }
+
+    impl Counted {
+        fn new(inner: SharedOracle, live: Arc<LiveOracles>) -> Self {
+            use std::sync::atomic::Ordering::SeqCst;
+            let now = live.now.fetch_add(1, SeqCst) + 1;
+            live.peak.fetch_max(now, SeqCst);
+            Counted { inner, live }
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.live
+                .now
+                .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    impl cad_commute::DistanceOracle for Counted {
+        fn n_nodes(&self) -> usize {
+            self.inner.n_nodes()
+        }
+        fn distance(&self, i: usize, j: usize) -> f64 {
+            self.inner.distance(i, j)
+        }
+        fn kind(&self) -> cad_commute::OracleKind {
+            self.inner.kind()
+        }
+        fn build_stats(&self) -> Option<&cad_obs::OracleBuildStats> {
+            self.inner.build_stats()
+        }
+        fn to_store_bytes(&self) -> Vec<u8> {
+            self.inner.to_store_bytes()
+        }
+        fn clone_box(&self) -> SharedOracle {
+            Box::new(Counted::new(self.inner.clone_box(), self.live.clone()))
+        }
+    }
+
+    /// Builds fresh [`Counted`] oracles, refusing instance `fail_at`.
+    struct CountingProvider {
+        live: Arc<LiveOracles>,
+        fail_at: Option<usize>,
+    }
+
+    impl OracleProvider for CountingProvider {
+        fn oracle(
+            &self,
+            t: usize,
+            g: &WeightedGraph,
+            opts: &EngineOptions,
+        ) -> Result<SharedOracle> {
+            self.live
+                .builds
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if self.fail_at == Some(t) {
+                return Err(cad_graph::GraphError::InvalidInput(format!(
+                    "instance {t} refused"
+                )));
+            }
+            let inner = cad_commute::CommuteTimeEngine::compute(g, opts)?;
+            Ok(Box::new(Counted::new(inner, self.live.clone())))
+        }
+    }
+
+    /// Eight instances of the two-cluster graph with drifting weights and
+    /// one cross-cluster edge that comes and goes.
+    fn eight_instance_seq() -> GraphSequence {
+        let graphs = (0..8)
+            .map(|t| {
+                let mut edges = vec![
+                    (0, 1, 3.0 + 0.1 * t as f64),
+                    (0, 2, 3.0),
+                    (1, 2, 3.0),
+                    (3, 4, 3.0 - 0.05 * t as f64),
+                    (3, 5, 3.0),
+                    (4, 5, 3.0),
+                    (2, 3, 0.2),
+                ];
+                if t % 3 == 1 {
+                    edges.push((0, 5, 1.5));
+                }
+                WeightedGraph::from_edges(6, &edges).unwrap()
+            })
+            .collect();
+        GraphSequence::new(graphs).unwrap()
+    }
+
+    #[test]
+    fn at_most_threads_plus_one_oracles_are_alive() {
+        let seq = eight_instance_seq();
+        let fresh = CadDetector::new(CadOptions::default())
+            .score_sequence(&seq)
+            .unwrap();
+        for (threads, most) in [(1, 2), (4, 5)] {
+            let live = Arc::new(LiveOracles::default());
+            let det = CadDetector::new(CadOptions {
+                threads,
+                ..Default::default()
+            })
+            .with_provider(Arc::new(CountingProvider {
+                live: live.clone(),
+                fail_at: None,
+            }));
+            let (scored, metrics) = det.score_sequence_metered(&seq).unwrap();
+            use std::sync::atomic::Ordering::SeqCst;
+            let peak = live.peak.load(SeqCst);
+            assert!(peak <= most, "threads = {threads}: {peak} oracles alive");
+            assert_eq!(live.builds.load(SeqCst), 8);
+            assert_eq!(live.now.load(SeqCst), 0, "every oracle is dropped");
+            let ts: Vec<usize> = metrics.instances.iter().map(|m| m.t).collect();
+            assert_eq!(ts, (0..8).collect::<Vec<_>>());
+            assert_eq!(scored.len(), fresh.len());
+            for (a, b) in scored.iter().zip(&fresh) {
+                let bits = |e: &[EdgeScore]| -> Vec<_> {
+                    e.iter().map(|s| (s.u, s.v, s.score.to_bits())).collect()
+                };
+                assert_eq!(bits(a), bits(b), "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn failed_build_reports_its_error_and_stops_the_stream() {
+        let seq = eight_instance_seq();
+        for threads in [1, 4] {
+            let live = Arc::new(LiveOracles::default());
+            let err = CadDetector::new(CadOptions {
+                threads,
+                ..Default::default()
+            })
+            .with_provider(Arc::new(CountingProvider {
+                live: live.clone(),
+                fail_at: Some(3),
+            }))
+            .detect_top_l(&seq, 2)
+            .unwrap_err();
+            assert_eq!(err.to_string(), "invalid input: instance 3 refused");
+            // Instance 3 closes the failing chunk at 1 and at 4 threads.
+            use std::sync::atomic::Ordering::SeqCst;
+            assert_eq!(live.builds.load(SeqCst), 4, "threads = {threads}");
+            assert_eq!(live.now.load(SeqCst), 0);
         }
     }
 

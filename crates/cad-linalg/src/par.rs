@@ -85,6 +85,92 @@ where
         .collect()
 }
 
+/// Infallible [`par_tabulate_result`]: `f(0), …, f(n − 1)` in index
+/// order.
+pub fn par_tabulate<U, F>(n: usize, threads: usize, f: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize) -> U + Sync,
+{
+    let out: std::result::Result<Vec<U>, std::convert::Infallible> =
+        par_tabulate_result(n, threads, |i| Ok(f(i)));
+    match out {
+        Ok(v) => v,
+        Err(never) => match never {},
+    }
+}
+
+/// Build items `0..n` and score every adjacent pair `(i, i + 1)`,
+/// holding at most `effective_threads(threads) + 1` items at once.
+///
+/// Items are built in chunks of `effective_threads(threads)` on the
+/// worker threads. After each chunk, `keep(i, &item)` sees every new
+/// item on the calling thread in index order (to take what must outlive
+/// it), then every pair whose items both exist is scored on the workers
+/// with `pair(i, &item_i, &item_{i+1})`. Only the newest item is carried
+/// into the next chunk; the rest are dropped. The `n − 1` pair results
+/// come back in index order, so they are bit-identical for any thread
+/// count. Each chunk's builds run under a `build_oracles` span and its
+/// pair scoring under a `score_transitions` span.
+///
+/// Errors follow the serial order build 0, build 1, pair 0, build 2,
+/// pair 1, …: a failed build is reported after the pairs of the items
+/// built before it, and nothing past its chunk is built.
+pub fn par_adjacent_pairs<O, P, E, B, K, S>(
+    n: usize,
+    threads: usize,
+    build: B,
+    mut keep: K,
+    pair: S,
+) -> std::result::Result<Vec<P>, E>
+where
+    O: Send + Sync,
+    P: Send,
+    E: Send,
+    B: Fn(usize) -> std::result::Result<O, E> + Sync,
+    K: FnMut(usize, &O),
+    S: Fn(usize, &O, &O) -> std::result::Result<P, E> + Sync,
+{
+    let chunk = effective_threads(threads);
+    let mut out = Vec::with_capacity(n.saturating_sub(1));
+    let mut newest: Option<O> = None;
+    for start in (0..n).step_by(chunk) {
+        let end = (start + chunk).min(n);
+        let built = {
+            let _span = cad_obs::span!("build_oracles");
+            par_tabulate(end - start, threads, |i| build(start + i))
+        };
+        // `live[j]` is item `first + j`: the carried one, then this
+        // chunk's up to its first failure.
+        let first = start - usize::from(newest.is_some());
+        let mut live: Vec<O> = newest.take().into_iter().collect();
+        let mut failed = None;
+        for (i, item) in (start..).zip(built) {
+            match item {
+                Ok(item) => {
+                    keep(i, &item);
+                    live.push(item);
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        if live.len() > 1 {
+            let _span = cad_obs::span!("score_transitions");
+            out.extend(par_tabulate_result(live.len() - 1, threads, |j| {
+                pair(first + j, &live[j], &live[j + 1])
+            })?);
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        newest = live.pop();
+    }
+    Ok(out)
+}
+
 /// Map `f` over `items` in parallel, returning results in input order.
 ///
 /// Convenience wrapper over [`par_tabulate_result`]; `f` receives the
@@ -111,12 +197,7 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let out: std::result::Result<Vec<U>, std::convert::Infallible> =
-        par_map_result(items, threads, |i, item| Ok(f(i, item)));
-    match out {
-        Ok(v) => v,
-        Err(never) => match never {},
-    }
+    par_tabulate(items.len(), threads, |i| f(i, &items[i]))
 }
 
 #[cfg(test)]
@@ -175,6 +256,90 @@ mod tests {
             for (a, b) in one.iter().zip(&many) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
+        }
+    }
+
+    /// An item that counts how many of its kind are alive.
+    struct Live<'a> {
+        i: usize,
+        live: &'a std::sync::atomic::AtomicUsize,
+    }
+
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn adjacent_pairs_stream_with_at_most_threads_plus_one_items() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let serial: Vec<usize> = (0..9).map(|i| i * 10 + i + 1).collect();
+        for threads in [1, 2, 3, 4, 16] {
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut kept = Vec::new();
+            let out = par_adjacent_pairs::<_, _, (), _, _, _>(
+                10,
+                threads,
+                |i| {
+                    let now = live.fetch_add(1, SeqCst) + 1;
+                    peak.fetch_max(now, SeqCst);
+                    Ok(Live { i, live: &live })
+                },
+                |i, item| kept.push((i, item.i)),
+                |i, a, b| {
+                    assert_eq!((a.i, b.i), (i, i + 1));
+                    Ok(a.i * 10 + b.i)
+                },
+            )
+            .unwrap();
+            assert_eq!(out, serial, "threads = {threads}");
+            assert_eq!(kept, (0..10).map(|i| (i, i)).collect::<Vec<_>>());
+            assert!(peak.load(SeqCst) <= threads + 1, "threads = {threads}");
+            assert_eq!(live.load(SeqCst), 0, "every item is dropped");
+        }
+        let none = par_adjacent_pairs::<u8, u8, (), _, _, _>(
+            1,
+            4,
+            |_| Ok(0),
+            |_, _| {},
+            |_, _, _| unreachable!(),
+        );
+        assert!(none.unwrap().is_empty());
+    }
+
+    #[test]
+    fn adjacent_pair_errors_follow_the_serial_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        for threads in [1, 2, 4, 8] {
+            // Build 3 fails: nothing past its chunk is built.
+            let builds = AtomicUsize::new(0);
+            let out = par_adjacent_pairs(
+                12,
+                threads,
+                |i| {
+                    builds.fetch_add(1, SeqCst);
+                    if i == 3 {
+                        Err(format!("build {i}"))
+                    } else {
+                        Ok(i)
+                    }
+                },
+                |_, _| {},
+                |i, _, _| Ok(i),
+            );
+            assert_eq!(out.unwrap_err(), "build 3", "threads = {threads}");
+            assert!(builds.load(SeqCst) <= 4usize.next_multiple_of(threads));
+            // Pair 0 runs before build 2 in a serial stream, so its error
+            // wins whatever the chunking.
+            let out = par_adjacent_pairs(
+                12,
+                threads,
+                |i| if i == 2 { Err("build 2") } else { Ok(i) },
+                |_, _| {},
+                |i, _, _| if i == 0 { Err("pair 0") } else { Ok(i) },
+            );
+            assert_eq!(out.unwrap_err(), "pair 0", "threads = {threads}");
         }
     }
 

@@ -210,6 +210,9 @@ pub fn read_request_pipelined(
     read_request_from(stream, limits, carry)
 }
 
+/// How far a request body buffer may grow past the bytes received.
+pub const BODY_STEP: usize = 64 * 1024;
+
 /// Read the next request from any byte source; the socket deadlines of
 /// `limits` are the caller's to apply.
 ///
@@ -292,20 +295,28 @@ pub fn read_request_from(
     }
 
     // Bytes past the body belong to the next pipelined request. The
-    // length is capped above, so the buffer is too; the rest of the
-    // body arrives in one `read_exact`.
-    let have = rest.len().min(content_length as usize);
+    // body buffer grows at most `BODY_STEP` past the bytes received, so
+    // a peer that declares a large body and stalls holds no more than
+    // that; a body that fits in the first step is one allocation.
+    let content_length = content_length as usize;
+    let have = rest.len().min(content_length);
     carry.extend_from_slice(&rest[have..]);
-    let mut body = vec![0u8; content_length as usize];
-    body[..have].copy_from_slice(&rest[..have]);
-    stream
-        .read_exact(&mut body[have..])
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => {
-                ReadError::Bad("connection closed mid-body".into())
-            }
-            _ => ReadError::Io(e),
-        })?;
+    let mut body = Vec::with_capacity(content_length.min(have + BODY_STEP));
+    body.extend_from_slice(&rest[..have]);
+    while body.len() < content_length {
+        let at = body.len();
+        let step = (content_length - at).min(BODY_STEP);
+        body.reserve_exact(step);
+        body.resize(at + step, 0);
+        stream
+            .read_exact(&mut body[at..])
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => {
+                    ReadError::Bad("connection closed mid-body".into())
+                }
+                _ => ReadError::Io(e),
+            })?;
+    }
 
     let connection = headers
         .iter()

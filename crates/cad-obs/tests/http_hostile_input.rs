@@ -8,15 +8,16 @@
 //!   the bytes are split into reads: every split gives what one read of
 //!   the whole stream gives.
 //! * What one call allocates stays linear in the bytes it handled (the
-//!   carried bytes plus what it read), plus at most one body buffer,
-//!   which the body cap bounds.
+//!   carried bytes plus what it read), plus at most one body step
+//!   ([`BODY_STEP`], or the body cap if smaller) past them: a peer that
+//!   declares a large body and stalls is not given a whole capped body.
 //!
 //! The counting allocator is this binary's global allocator and its
 //! counters are process-wide, so the binary holds one test: no other
 //! test thread allocates between the two reads around a call.
 
 use cad_obs::alloc::{stats, CountingAlloc};
-use cad_obs::http::{read_request_from, HttpLimits, ReadError};
+use cad_obs::http::{read_request_from, HttpLimits, ReadError, BODY_STEP};
 use proptest::prelude::*;
 use std::io::Read;
 
@@ -29,6 +30,11 @@ const LIMITS: HttpLimits = HttpLimits {
     max_body_bytes: 512,
     read_timeout: None,
     write_timeout: None,
+};
+/// The default body cap, far past one body step.
+const LARGE_BODIES: HttpLimits = HttpLimits {
+    max_body_bytes: 1024 * 1024,
+    ..LIMITS
 };
 /// Heap bytes one call may allocate per byte it handled: the head
 /// buffer grows by doubling, header names and values are copied, and an
@@ -59,7 +65,7 @@ impl Read for Chunked<'_> {
 
 /// Every request read from `bytes` split into reads of `sizes`, then
 /// the error that ended the stream, each as text.
-fn drive(bytes: &[u8], sizes: &[usize]) -> Result<Vec<String>, String> {
+fn drive(bytes: &[u8], sizes: &[usize], limits: &HttpLimits) -> Result<Vec<String>, String> {
     let mut src = Chunked {
         bytes,
         sizes,
@@ -73,10 +79,11 @@ fn drive(bytes: &[u8], sizes: &[usize]) -> Result<Vec<String>, String> {
     for _ in 0..=bytes.len() {
         let (carried, pos) = (carry.len(), src.pos);
         let before = stats().bytes_allocated;
-        let got = read_request_from(&mut src, &LIMITS, &mut carry);
+        let got = read_request_from(&mut src, limits, &mut carry);
         let allocated = stats().bytes_allocated - before;
         let handled = (carried + src.pos - pos) as u64;
-        let cap = BYTES_PER_INPUT_BYTE * handled + LIMITS.max_body_bytes as u64 + SLACK_BYTES;
+        let step = limits.max_body_bytes.min(BODY_STEP) as u64;
+        let cap = BYTES_PER_INPUT_BYTE * handled + step + SLACK_BYTES;
         prop_assert!(
             allocated <= cap,
             "a call allocated {allocated} B after handling {handled} B"
@@ -165,9 +172,9 @@ fn requests(codes: &[usize]) -> (Vec<u8>, usize) {
     (out, codes.len())
 }
 
-fn check(bytes: &[u8], sizes: &[usize]) -> Result<Vec<String>, String> {
-    let whole = drive(bytes, &[usize::MAX])?;
-    let split = drive(bytes, sizes)?;
+fn check(bytes: &[u8], sizes: &[usize], limits: &HttpLimits) -> Result<Vec<String>, String> {
+    let whole = drive(bytes, &[usize::MAX], limits)?;
+    let split = drive(bytes, sizes, limits)?;
     prop_assert!(
         split == whole,
         "{:?} read in pieces of {sizes:?}: {split:?}, in one read: {whole:?}",
@@ -185,17 +192,17 @@ proptest! {
         sizes in proptest::collection::vec(1usize..40, 1..8),
         cut in 0usize..10_000,
     ) {
-        check(&stream_of(&codes), &sizes)?;
+        check(&stream_of(&codes), &sizes, &LIMITS)?;
 
         // Well-formed pipelined requests are all served, then the
         // stream reads as closed.
         let (stream, n) = requests(&codes);
-        let got = check(&stream, &sizes)?;
+        let got = check(&stream, &sizes, &LIMITS)?;
         prop_assert_eq!(got.len(), n + 1);
         prop_assert_eq!(got[n].as_str(), "error: connection closed");
         let (_, allocated) = {
             let before = stats().bytes_allocated;
-            let out = drive(&stream, &sizes);
+            let out = drive(&stream, &sizes, &LIMITS);
             (out, stats().bytes_allocated - before)
         };
         // The counters really move: the bound above is not vacuous.
@@ -204,7 +211,19 @@ proptest! {
         // The same requests cut short anywhere: splits still do not
         // matter.
         if !stream.is_empty() {
-            check(&stream[..cut % stream.len()], &sizes)?;
+            check(&stream[..cut % stream.len()], &sizes, &LIMITS)?;
         }
+
+        // A body declared at the cap that stalls after some bytes: the
+        // buffer tracks what arrived, not what was declared.
+        let mut stalled = format!(
+            "POST /v1/sequences HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            LARGE_BODIES.max_body_bytes
+        )
+        .into_bytes();
+        stalled.resize(stalled.len() + cut * 23, b'x');
+        let large: Vec<usize> = sizes.iter().map(|s| s * 997).collect();
+        let got = check(&stalled, &large, &LARGE_BODIES)?;
+        prop_assert_eq!(got, vec!["error: malformed request: connection closed mid-body".to_string()]);
     }
 }

@@ -13,7 +13,13 @@
 //!   parses to;
 //! * a syntax error anywhere wins over a bad `nodes`, which wins over a
 //!   bad `edges` (the lowest bad index first), which wins over the
-//!   graph errors [`WeightedGraph::from_edges`] raises.
+//!   graph errors [`WeightedGraph::from_edges`] raises, which win over
+//!   a repeated edge.
+//!
+//! A snapshot lists each edge once. [`WeightedGraph::from_edges`] sums
+//! repeats (right for event counts, wrong for a snapshot), so an edge
+//! of nonzero weight listed twice, in either orientation, is refused as
+//! malformed, naming both places it appears.
 
 use cad_graph::{GraphError, WeightedGraph};
 use cad_obs::json::{Kind, Reader};
@@ -95,7 +101,28 @@ pub fn decode_snapshot(body: &[u8], nodes: Option<usize>) -> Result<WeightedGrap
     let edges = edges
         .unwrap_or_else(|| Err("snapshot needs an `edges` array".into()))
         .map_err(SnapshotError::Malformed)?;
-    WeightedGraph::from_edges(n, &edges).map_err(SnapshotError::Graph)
+    let g = WeightedGraph::from_edges(n, &edges).map_err(SnapshotError::Graph)?;
+    // Every listed edge is valid now, so without repeats each nonzero
+    // one is a distinct edge of the graph.
+    if g.n_edges() != edges.iter().filter(|e| e.2 != 0.0).count() {
+        return Err(SnapshotError::Malformed(repeated_edge(&edges)));
+    }
+    Ok(g)
+}
+
+/// The message naming the first nonzero edge of `edges` that repeats an
+/// earlier one.
+fn repeated_edge(edges: &[Edge]) -> String {
+    let mut first = std::collections::HashMap::new();
+    for (j, &(u, v, w)) in edges.iter().enumerate() {
+        if w == 0.0 {
+            continue;
+        }
+        if let Some(i) = first.insert((u.min(v), u.max(v)), j) {
+            return format!("edges[{j}] repeats edge {{{u}, {v}}} of edges[{i}]");
+        }
+    }
+    "snapshot lists an edge twice".into()
 }
 
 /// Read the `edges` value: the triples, or the message for the first
@@ -217,7 +244,16 @@ mod tests {
                 .ok_or_else(|| bad(&format!("edges[{i}] weight not a number")))?;
             edges.push((u as usize, v2 as usize, w));
         }
-        WeightedGraph::from_edges(n, &edges).map_err(SnapshotError::Graph)
+        let g = WeightedGraph::from_edges(n, &edges).map_err(SnapshotError::Graph)?;
+        for (j, &(u, v, w)) in edges.iter().enumerate() {
+            let same = |&(a, b, x): &Edge| x != 0.0 && ((a, b) == (u, v) || (a, b) == (v, u));
+            if let Some(i) = edges[..j].iter().position(same).filter(|_| w != 0.0) {
+                return Err(bad(&format!(
+                    "edges[{j}] repeats edge {{{u}, {v}}} of edges[{i}]"
+                )));
+            }
+        }
+        Ok(g)
     }
 
     /// SplitMix64: the documents below are drawn from one seed.
@@ -308,6 +344,9 @@ mod tests {
             _ => int(r, n),
         };
         let mut edge_items = Vec::new();
+        // Listed pairs, unordered: most repeats are dropped, the rest
+        // must be refused.
+        let mut listed = Vec::new();
         for i in 0..r.below(10) {
             let (u, v) = (r.below(n), r.below(n));
             let (u, v) = if u == v && !r.one_in(10) {
@@ -315,6 +354,10 @@ mod tests {
             } else {
                 (u, v)
             };
+            if listed.contains(&(u.min(v), u.max(v))) && !r.one_in(8) {
+                continue;
+            }
+            listed.push((u.min(v), u.max(v)));
             let mut parts = vec![int(r, u), int(r, v), weight(r)];
             if r.one_in(25) {
                 let slot = r.below(3);
@@ -409,7 +452,7 @@ mod tests {
 
     #[test]
     fn errors_keep_their_precedence() {
-        let cases: [(&[u8], &str); 6] = [
+        let cases: [(&[u8], &str); 7] = [
             // A syntax error late in the body beats a bad `nodes` early.
             (
                 br#"{"nodes": -1, "edges": [[0, 1, 1.0]], "x": tru}"#,
@@ -423,6 +466,11 @@ mod tests {
                 "edges[1] weight",
             ),
             (br#"{"nodes": 3, "edges": [[0, 7, 1.0]]}"#, "7"),
+            // A graph error beats a repeated edge before it.
+            (
+                br#"{"nodes": 3, "edges": [[0, 1, 1], [1, 0, 2], [2, 2, 1]]}"#,
+                "self-loop",
+            ),
             (b"{\"nodes\": 3, \"edges\": [[0, 1, 1.0]]}\xff", "not UTF-8"),
         ];
         for (body, needle) in cases {
@@ -434,6 +482,53 @@ mod tests {
         // Without a session size (`cad watch`) `nodes` is required.
         let err = outcome(decode_snapshot(br#"{"edges": []}"#, None)).unwrap_err();
         assert_eq!(err.2, "snapshot needs a `nodes` integer");
+    }
+
+    #[test]
+    fn repeated_edges_are_refused_and_named() {
+        let cases: [(&[u8], &str); 3] = [
+            (
+                br#"{"nodes": 3, "edges": [[0, 1, 1.0], [1, 0, 2.5]]}"#,
+                "edges[1] repeats edge {1, 0} of edges[0]",
+            ),
+            (
+                br#"{"nodes": 4, "edges": [[0, 1, 1], [2, 3, 1], [3, 2, 1], [0, 1, 1]]}"#,
+                "edges[2] repeats edge {3, 2} of edges[1]",
+            ),
+            // The repeat of a zero weight, which lists no edge, is not.
+            (
+                br#"{"nodes": 3, "edges": [[0, 1, 0], [1, 2, 1], [0, 1, 4], [2, 1, 0]]}"#,
+                "",
+            ),
+        ];
+        for (body, message) in cases {
+            let got = outcome(decode_snapshot(body, Some(body[10] as usize - 48)));
+            assert_eq!(got, outcome(reference(body, Some(body[10] as usize - 48))));
+            match got {
+                Err((status, code, m)) => {
+                    assert_eq!(
+                        (status, code.as_str(), m.as_str()),
+                        (400, "bad_request", message)
+                    );
+                }
+                Ok((_, edges)) => {
+                    assert!(message.is_empty());
+                    assert_eq!(edges, vec![(0, 1, 4f64.to_bits()), (1, 2, 1f64.to_bits())]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_documents_repeat_some_edges() {
+        let refused = (0..1000u64)
+            .filter(|&seed| {
+                let doc = document(&mut Rng(seed), 5);
+                matches!(decode_snapshot(doc.as_bytes(), Some(5)),
+                    Err(SnapshotError::Malformed(m)) if m.contains("repeats edge"))
+            })
+            .count();
+        assert!(refused >= 10, "{refused} of 1000 repeat an edge");
     }
 
     #[test]
